@@ -17,7 +17,7 @@
 //! # override E16/E17/E19's fault campaign (E16/E17 default: the exam-day
 //! # crisis; E19 default: the region-loss drill):
 //! cargo run --release -p elc-bench --bin paper-tables -- --chaos disaster@0.5
-//! # shard-parallel execution (output is byte-identical at any shard count):
+//! # arm-parallel execution (E16/E17/E19 unchanged; E18 runs one region per shard):
 //! cargo run --release -p elc-bench --bin paper-tables -- --shards 4
 //! # record the workload into a trace, then replay it (byte-identical report):
 //! cargo run --release -p elc-bench --bin paper-tables -- \

@@ -167,12 +167,12 @@ pub fn chaos_from_flags(flags: &[(String, String)]) -> Result<Option<ChaosSpec>,
     }
 }
 
-/// Extracts `--shards <n>`, the intra-replication shard count. Returns
-/// `None` when the flag is absent — the scenario then keeps its preset
-/// shard count (1 everywhere except `national-5m`, whose four regions
-/// shard by default). Sharding splits one simulation's sites over
-/// worker threads with a conservative time-window protocol; output is
-/// byte-identical at any value, so the flag is purely a scheduling knob.
+/// Extracts `--shards <n>`, the arm-parallelism level. Returns `None`
+/// when the flag is absent — the scenario then keeps its preset shard
+/// count (1 everywhere except `national-5m`, whose four regions shard by
+/// default). E16, E17 and E19 spread their independent arms over up to
+/// `n` threads and print the same bytes at any value; E18 federates one
+/// region per shard.
 ///
 /// # Errors
 ///

@@ -302,6 +302,22 @@ mod tests {
     }
 
     #[test]
+    fn federates_one_region_per_shard_and_conserves_offered_demand() {
+        let base = Scenario::national_5m(42).with_fidelity(Fidelity::Fluid);
+        let whole = run(&base.with_shards(1)).offered();
+        for shards in [1, 2, 4] {
+            let out = run(&base.with_shards(shards));
+            assert_eq!(out.rows.len(), shards as usize);
+            let rel = (out.offered() - whole).abs() / whole;
+            assert!(
+                rel < 1e-9,
+                "{shards} shards offer {} vs {whole}",
+                out.offered()
+            );
+        }
+    }
+
+    #[test]
     fn section_shape() {
         let out = run(&Scenario::national_5m(3));
         let s = out.section();

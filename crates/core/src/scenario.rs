@@ -202,9 +202,10 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the shard count for intra-replication parallelism (default
-    /// 1). Output is byte-identical at any shard count; shards only
-    /// change how a run is scheduled onto cores.
+    /// Sets the shard count for arm parallelism (default 1): experiments
+    /// whose arms are independent spread them over up to this many
+    /// threads. E16, E17 and E19 are byte-identical at any shard count;
+    /// E18 federates one region per shard, so its rows follow the count.
     #[must_use]
     pub fn shards(mut self, shards: u32) -> Self {
         self.shards = shards;
@@ -337,33 +338,6 @@ impl Scenario {
         ScenarioBuilder::new(name, students)
     }
 
-    /// Creates a scenario from positional arguments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `students` is zero or `years` is not positive.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Scenario::builder(name, students)…build()`, which validates instead of panicking"
-    )]
-    #[must_use]
-    pub fn new(
-        name: impl Into<String>,
-        students: u32,
-        seed: u64,
-        years: f64,
-        link: LinkProfile,
-        outages: OutageModel,
-    ) -> Self {
-        Scenario::builder(name, students)
-            .seed(seed)
-            .years(years)
-            .link(link)
-            .outages(outages)
-            .build()
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// A 2 000-student college on metro broadband.
     #[must_use]
     pub fn small_college(seed: u64) -> Self {
@@ -479,15 +453,14 @@ impl Scenario {
         s
     }
 
-    /// Shard count for intra-replication parallelism (default 1).
+    /// Shard count for arm parallelism (default 1).
     #[must_use]
     pub fn shards(&self) -> u32 {
         self.shards
     }
 
-    /// A copy with the given shard count. Sharding never changes what a
-    /// run computes — only how it is spread over cores — so reports stay
-    /// byte-identical at any value.
+    /// A copy with the given shard count (see [`ScenarioBuilder::shards`]
+    /// for which experiments the count is visible in).
     ///
     /// # Panics
     ///
@@ -942,20 +915,5 @@ mod tests {
         let trace = recorder.finish().expect("eight slots were recorded");
         assert_eq!(trace.students, 2_000);
         assert_eq!(trace.streams[0].slots.len(), 8);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_still_works() {
-        let s = Scenario::new(
-            "legacy",
-            10,
-            1,
-            2.0,
-            LinkProfile::MetroInternet,
-            OutageModel::new(SimDuration::from_hours(400), SimDuration::from_mins(8)),
-        );
-        assert_eq!(s.name(), "legacy");
-        assert_eq!(s.years(), 2.0);
     }
 }

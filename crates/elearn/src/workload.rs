@@ -194,53 +194,10 @@ impl WorkloadModel {
         }
     }
 
-    /// A calibrated default: 20 rps per 1000 students at a teaching-day
-    /// peak. LMS "requests" here are heavyweight (a 2 MiB video chunk is
-    /// ~10 s of playback), so this corresponds to roughly 15–20% of
-    /// students active at peak, each taking an action every 8–10 s —
-    /// and to an annual content volume in the tens of TiB per 1000
-    /// students, consistent with video-centric course delivery.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `students` is zero.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use WorkloadModel::builder(students, cal).build() and handle WorkloadError"
-    )]
-    #[must_use]
-    pub fn standard(students: u32, calendar: AcademicCalendar) -> Self {
-        WorkloadModel::builder(students, calendar)
-            .build()
-            .unwrap_or_else(|err| panic!("{err}"))
-    }
-
     /// Enrolled students.
     #[must_use]
     pub fn students(&self) -> u32 {
         self.students
-    }
-
-    /// Partitions this institution's cohort onto `sites` campuses for a
-    /// sharded run: one model per site, identical rate parameters, with
-    /// the enrolment split by [`split_cohort`]. Sites are the shard key
-    /// of `elc_simcore::shard`, so each site model must be simulated
-    /// with its own RNG lineage (`root.derive("shard").derive_u64(i)`)
-    /// to keep draws independent of the site-to-shard partition.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `sites` is zero or exceeds the student count (an
-    /// empty site would violate `WorkloadModel`'s students > 0).
-    #[must_use]
-    pub fn split(&self, sites: u32) -> Vec<WorkloadModel> {
-        split_cohort(self.students, sites)
-            .into_iter()
-            .map(|share| WorkloadModel {
-                students: share,
-                ..self.clone()
-            })
-            .collect()
     }
 
     /// The calendar driving phase multipliers.
@@ -375,39 +332,9 @@ impl WorkloadSource for WorkloadModel {
         WorkloadModel::mean_rate(self, from, to, step)
     }
 
-    fn split(&self, sites: u32) -> Vec<Box<dyn WorkloadSource>> {
-        WorkloadModel::split(self, sites)
-            .into_iter()
-            .map(|m| Box::new(m) as Box<dyn WorkloadSource>)
-            .collect()
-    }
-
     fn clone_source(&self) -> Box<dyn WorkloadSource> {
         Box::new(self.clone())
     }
-}
-
-/// Splits `students` into `sites` near-equal shares (difference at most
-/// one, earlier sites take the remainder) that sum exactly to the input.
-/// The deterministic cohort-to-site assignment behind
-/// [`WorkloadModel::split`], matching the contiguous block partition of
-/// `elc_simcore::shard::assign_blocks`.
-///
-/// # Panics
-///
-/// Panics when `sites` is zero or exceeds `students`.
-#[must_use]
-pub fn split_cohort(students: u32, sites: u32) -> Vec<u32> {
-    assert!(sites > 0, "need at least one site");
-    assert!(
-        sites <= students,
-        "cannot split {students} students over {sites} sites without an empty site"
-    );
-    let base = students / sites;
-    let extra = students % sites;
-    (0..sites)
-        .map(|site| base + u32::from(site < extra))
-        .collect()
 }
 
 #[cfg(test)]
@@ -423,39 +350,6 @@ mod tests {
 
     fn at(week: u64, day: u64, hour: u64) -> SimTime {
         SimTime::from_secs(week * 7 * 86_400 + day * 86_400 + hour * 3_600)
-    }
-
-    #[test]
-    fn split_cohort_is_exact_and_near_equal() {
-        assert_eq!(split_cohort(10, 3), vec![4, 3, 3]);
-        assert_eq!(split_cohort(9, 3), vec![3, 3, 3]);
-        assert_eq!(split_cohort(5, 1), vec![5]);
-        let shares = split_cohort(150_000, 4);
-        assert_eq!(shares.iter().sum::<u32>(), 150_000);
-        assert!(shares.iter().all(|&s| s == 37_500));
-    }
-
-    #[test]
-    fn split_models_preserve_rates_and_total_enrolment() {
-        let m = model();
-        let sites = m.split(3);
-        assert_eq!(
-            sites.iter().map(WorkloadModel::students).sum::<u32>(),
-            m.students()
-        );
-        let t = at(5, 2, 20);
-        let whole = m.rate_at(t);
-        let split_sum: f64 = sites.iter().map(|s| s.rate_at(t)).sum();
-        assert!(
-            (whole - split_sum).abs() < 1e-9 * whole,
-            "per-site rates must sum to the institution rate: {whole} vs {split_sum}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "empty site")]
-    fn split_rejects_more_sites_than_students() {
-        let _ = split_cohort(2, 3);
     }
 
     #[test]
@@ -579,16 +473,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn builder_defaults_match_standard() {
-        // Pins the deprecated shim to the builder defaults until its
-        // release-note cycle ends and `standard` goes away.
-        let cal = AcademicCalendar::standard_semester(SimTime::ZERO);
-        let built = WorkloadModel::builder(10_000, cal).build().unwrap();
-        assert_eq!(built, WorkloadModel::standard(10_000, cal));
-    }
-
-    #[test]
     fn exam_phase_uses_exam_mix() {
         let m = model();
         let mix = m.mix_at(at(15, 2, 12));
@@ -653,13 +537,6 @@ mod tests {
             n,
             "count must come from the same Poisson draw"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one student")]
-    #[allow(deprecated)]
-    fn rejects_zero_students() {
-        let _ = WorkloadModel::standard(0, AcademicCalendar::standard_semester(SimTime::ZERO));
     }
 
     #[test]

@@ -131,36 +131,6 @@ impl Topology {
         self.links.get(&(from, to))
     }
 
-    /// The conservative lookahead for a sharded run: the minimum one-way
-    /// latency over links whose endpoints live on *different* shards
-    /// (per `site_shard`, indexed by site). Messages between shards can
-    /// never arrive sooner than this, so it bounds the synchronization
-    /// window of `elc_simcore::shard::TimeWindows`.
-    ///
-    /// Returns `None` when no link crosses a shard boundary (a
-    /// single-shard partition, or fully disconnected shards). A returned
-    /// `SimDuration::ZERO` means a zero-latency link crosses shards —
-    /// the window protocol cannot run and callers must fall back to
-    /// single-shard execution.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `site_shard` is shorter than the site count.
-    #[must_use]
-    pub fn cross_shard_lookahead(&self, site_shard: &[u32]) -> Option<SimDuration> {
-        assert!(
-            site_shard.len() >= self.sites.len(),
-            "site_shard maps {} sites, topology has {}",
-            site_shard.len(),
-            self.sites.len()
-        );
-        self.links
-            .iter()
-            .filter(|((from, to), _)| site_shard[from.index()] != site_shard[to.index()])
-            .map(|(_, link)| link.latency())
-            .min()
-    }
-
     /// Finds a path from `from` to `to` with the fewest hops (BFS).
     ///
     /// # Errors
@@ -401,50 +371,6 @@ mod tests {
         let path = net.route(a, c).unwrap();
         let t = path.transfer_time(Bytes::new(1_000_000));
         assert!((t.as_secs_f64() - 10.0).abs() < 0.01, "got {t}");
-    }
-
-    #[test]
-    fn lookahead_is_the_min_cross_shard_latency() {
-        let (net, _, _, _) = three_site_net();
-        // campus=0 shard 0; dc=1, cloud=2 shard 1 → cross links are
-        // campus–dc (CampusLan, 500µs) and campus–cloud (Metro, 25ms).
-        let la = net.cross_shard_lookahead(&[0, 1, 1]).unwrap();
-        assert_eq!(la, Link::from_profile(LinkProfile::CampusLan).latency());
-        // Splitting dc|cloud instead: cheapest cross link is now the
-        // dc–cloud InterDatacenter pair.
-        let la = net.cross_shard_lookahead(&[0, 0, 1]).unwrap();
-        assert_eq!(
-            la,
-            Link::from_profile(LinkProfile::InterDatacenter).latency()
-        );
-    }
-
-    #[test]
-    fn lookahead_is_none_without_cross_shard_links() {
-        let (net, _, _, _) = three_site_net();
-        assert_eq!(net.cross_shard_lookahead(&[0, 0, 0]), None);
-        let mut islands = Topology::new();
-        islands.add_site("a");
-        islands.add_site("b");
-        assert_eq!(islands.cross_shard_lookahead(&[0, 1]), None);
-    }
-
-    #[test]
-    fn lookahead_reports_zero_latency_cross_links() {
-        let mut net = Topology::new();
-        let a = net.add_site("a");
-        let b = net.add_site("b");
-        net.connect_both(
-            a,
-            b,
-            Link::new(
-                SimDuration::ZERO,
-                SimDuration::ZERO,
-                Bandwidth::from_mbps(100.0),
-                0.0,
-            ),
-        );
-        assert_eq!(net.cross_shard_lookahead(&[0, 1]), Some(SimDuration::ZERO));
     }
 
     #[test]

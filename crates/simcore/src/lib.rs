@@ -14,12 +14,11 @@
 //!   validated probability distributions ([`dist`]),
 //! * measurement primitives ([`metrics`], [`series`]) and typed entity ids
 //!   ([`id`]),
-//! * a conservative time-window executor that partitions one scenario
-//!   across site shards without changing its output ([`shard`]).
+//! * a bounded thread fan-out for independent experiment arms ([`shard`]).
 //!
 //! Each simulation executive is single-threaded and allocation-light; a
 //! run is a pure function of `(configuration, seed)`, byte-identical at
-//! any shard or worker count.
+//! any worker count.
 //!
 //! # Examples
 //!

@@ -222,27 +222,6 @@ impl<E> EventQueue<E> {
             .map(|&slot| self.slots[slot as usize].time)
     }
 
-    /// Removes and returns the earliest pending event if it fires strictly
-    /// before `horizon`; otherwise leaves the queue untouched and returns
-    /// `None`.
-    ///
-    /// The drain-until-horizon primitive of the sharded executor
-    /// ([`crate::shard`]): a conservative time window `[t, t+L)` executes
-    /// exactly the events below its end, so the check and the pop must be
-    /// one operation — peeking and popping separately would read the heap
-    /// root twice.
-    #[inline]
-    pub fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        let &slot = self.heap.first()?;
-        if self.slots[slot as usize].time >= horizon {
-            return None;
-        }
-        let slot = self.detach_at(0);
-        let s = &mut self.slots[slot as usize];
-        let payload = s.payload.take().expect("pending slot holds a payload");
-        Some((s.time, payload))
-    }
-
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -464,36 +443,6 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
         assert_eq!(q.peek_time(), None);
-        assert_eq!(q.pop_before(SimTime::from_secs(1)), None);
-    }
-
-    #[test]
-    fn pop_before_respects_the_horizon_exclusively() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(1), 'a');
-        q.push(SimTime::from_secs(2), 'b');
-        q.push(SimTime::from_secs(3), 'c');
-        // The horizon itself is excluded: an event at t=2 stays pending
-        // when the window ends at t=2.
-        assert_eq!(q.pop_before(SimTime::from_secs(2)).unwrap().1, 'a');
-        assert_eq!(q.pop_before(SimTime::from_secs(2)), None);
-        assert_eq!(q.len(), 2, "excluded events stay pending");
-        assert_eq!(q.pop_before(SimTime::from_secs(10)).unwrap().1, 'b');
-        assert_eq!(q.pop_before(SimTime::from_secs(10)).unwrap().1, 'c');
-        assert_eq!(q.pop_before(SimTime::from_secs(10)), None);
-    }
-
-    #[test]
-    fn pop_before_keeps_fifo_ties() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(1);
-        for i in 0..5 {
-            q.push(t, i);
-        }
-        let horizon = SimTime::from_secs(2);
-        let order: Vec<i32> =
-            std::iter::from_fn(|| q.pop_before(horizon).map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..5).collect::<Vec<_>>());
     }
 
     #[test]

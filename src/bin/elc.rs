@@ -7,8 +7,8 @@
 //! elc experiment <ID> [SCENARIO] [--seed N]  run one experiment (e1..e19, t1)
 //!     [--chaos SPEC]                         fault campaign for e16/e17
 //!                                            (e.g. storm@0.3:n=4,mins=6;disaster@0.79, or off)
-//!     [--shards N]                           shard-parallel execution (output is
-//!                                            byte-identical at any shard count)
+//!     [--shards N]                           arm-parallel execution (E16/E17/E19
+//!                                            unchanged; E18 runs one region per shard)
 //!     [--fidelity event|fluid|auto]          simulation fidelity: exact per-request
 //!                                            events, fluid flow integration, or
 //!                                            automatic switching (default: event)

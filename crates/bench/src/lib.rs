@@ -1,14 +1,10 @@
 //! # elc-bench — benchmark harness for the elearn-cloud experiments
 //!
-//! Two entry points:
-//!
-//! * the `paper-tables` binary regenerates every table (E1–E12 and T1)
-//!   for three scenario sizes and writes CSVs next to the printed report;
-//! * `benches/` holds one micro-benchmark per experiment plus the
-//!   kernel ablation `a1_kernel` (binary-heap event queue vs the naive
-//!   baseline), all on the dependency-free [`crit`] harness.
-//!
-//! Shared helpers live here so benches and the binary agree on scenarios.
+//! `benches/` holds one micro-benchmark per experiment plus the kernel
+//! ablation `a1_kernel` (binary-heap event queue vs the naive baseline),
+//! all on the dependency-free [`crit`] harness; the `sensitivity` binary
+//! sweeps the calibration behind E1's cost crossover. Every table of the
+//! reproduction is regenerated by `elc tables` in the root package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,7 +14,6 @@ pub mod crit;
 use std::time::Duration;
 
 use crit::Criterion;
-use elc_core::scenario::Scenario;
 
 /// A harness configuration tuned so the full bench suite completes in
 /// a couple of minutes while still producing stable estimates.
@@ -30,30 +25,5 @@ pub fn quick_criterion() -> Criterion {
         .warm_up_time(Duration::from_millis(300))
 }
 
-/// The scenarios the harness reports on, smallest first.
-#[must_use]
-pub fn harness_scenarios(seed: u64) -> Vec<Scenario> {
-    vec![
-        Scenario::small_college(seed),
-        Scenario::rural_learners(seed),
-        Scenario::university(seed),
-        Scenario::national_platform(seed),
-    ]
-}
-
-/// The default seed used by `paper-tables` and the benches.
+/// The seed the benches run at.
 pub const HARNESS_SEED: u64 = 2013; // the paper's year
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scenarios_are_ordered_by_size() {
-        let s = harness_scenarios(1);
-        assert_eq!(s.len(), 4);
-        for w in s.windows(2) {
-            assert!(w[0].students() < w[1].students());
-        }
-    }
-}

@@ -1,22 +1,19 @@
-//! Shared command-line vocabulary for the suite's front ends.
+//! Shared command-line vocabulary for the `elc` subcommands.
 //!
-//! `elc`, `elc-run` and `paper-tables` grew three private copies of the
-//! same argument plumbing — flag splitting, scenario lookup, experiment
-//! listings — and their spellings had started to drift (different
-//! "unknown scenario" wording, different `--flag value` edge cases). This
-//! module is the single copy: every binary parses with [`split_args`],
-//! resolves presets with [`scenario_by_name`], prints
-//! [`experiment_list`]/[`scenario_list`] and reports failures with
-//! [`unknown_experiment`]/[`unknown_scenario`], so the tools answer
-//! identically everywhere.
+//! Every subcommand parses with [`split_args`], refuses the flags it does
+//! not read with [`check_flags`], and turns its flags into the scenario
+//! it runs with [`scenario_from_flags`] — one path from `--chaos`,
+//! `--shards`, `--fidelity`, `--workload`, `--morph` and `--record-trace`
+//! to a validated [`Scenario`]. Listings ([`experiment_list`],
+//! [`scenario_list`]) and diagnostics ([`unknown_experiment`],
+//! [`unknown_scenario`]) have one spelling each.
 //!
 //! Tracing flags are shared too: [`TraceOptions::from_flags`] understands
-//! `--trace <path>` and `--trace-filter <spec>` for any binary that can
-//! write a JSONL trace.
+//! `--trace <path>` and `--trace-filter <spec>` for every subcommand that
+//! can write a JSONL trace.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use elc_fluid::Fidelity;
 use elc_resil::chaos::ChaosSpec;
@@ -43,7 +40,7 @@ pub const SCENARIO_USAGE: &str =
 /// pairs.
 ///
 /// A flag's value is the next token *iff* that token does not itself start
-/// with `--`; boolean flags (`--quiet`, `--list`) therefore get an empty
+/// with `--`; boolean flags (`--quiet`) therefore get an empty
 /// value and never swallow the flag after them.
 #[must_use]
 pub fn split_args(args: &[String]) -> (Vec<String>, Vec<(String, String)>) {
@@ -62,6 +59,21 @@ pub fn split_args(args: &[String]) -> (Vec<String>, Vec<(String, String)>) {
         }
     }
     (positional, flags)
+}
+
+/// Refuses the first flag that is not in `known`.
+///
+/// # Errors
+///
+/// Returns `unknown flag --NAME` naming the offending flag.
+pub fn check_flags(flags: &[(String, String)], known: &[&str]) -> Result<(), String> {
+    match flags
+        .iter()
+        .find(|(name, _)| !known.contains(&name.as_str()))
+    {
+        None => Ok(()),
+        Some((name, _)) => Err(format!("unknown flag --{name}")),
+    }
 }
 
 /// Looks a flag's value up by name (empty string for boolean flags).
@@ -114,11 +126,11 @@ pub fn unknown_scenario(name: &str) -> String {
 /// The uniform "unknown experiment" diagnostic.
 #[must_use]
 pub fn unknown_experiment(id: &str) -> String {
-    format!("unknown experiment {id:?} (e1..e19, t1; try --list)")
+    format!("unknown experiment {id:?} (e1..e19, t1; see `elc experiments`)")
 }
 
-/// The experiment registry rendered one `id  name` line at a time — the
-/// body of every `--list`/`experiments` output.
+/// The experiment registry rendered one `id  name` line at a time, as
+/// `elc experiments` prints it.
 #[must_use]
 pub fn experiment_list() -> String {
     let mut out = String::new();
@@ -145,260 +157,208 @@ pub fn scenario_list(seed: u64) -> String {
     out
 }
 
-/// Extracts `--chaos <spec>`, the fault-campaign override for E16.
+/// The flags [`scenario_from_flags`] reads. A subcommand that simulates
+/// lists them among its known flags (all six, or all but `--chaos` for
+/// `elc report`, which runs no fault campaign).
+pub const SCENARIO_FLAGS: [&str; 6] = [
+    "chaos",
+    "shards",
+    "fidelity",
+    "workload",
+    "morph",
+    "record-trace",
+];
+
+/// Turns a subcommand's flags into the validated scenario it runs.
 ///
-/// The spec grammar is `elc-resil`'s ([`ChaosSpec`]): `off`, or campaigns
-/// joined with `;` — `storm@0.3:n=4,mins=6`, `cascade@0.55:n=3`,
-/// `disaster@0.79`. Returns `None` when the flag is absent (experiments
-/// then use their own default campaign).
+/// Resolves the preset `name` under `seed`, then applies the
+/// [`SCENARIO_FLAGS`]; an absent flag keeps the preset's choice.
+///
+/// * `--chaos SPEC` — the fault campaign for E16/E17/E19, in
+///   `elc-resil`'s [`ChaosSpec`] grammar: `off`, or campaigns joined with
+///   `;` (`storm@0.3:n=4,mins=6`, `cascade@0.55:n=3`, `disaster@0.79`).
+/// * `--shards N` — arm parallelism. E16, E17 and E19 spread their
+///   independent arms over up to N threads and print the same bytes at
+///   any N; E18 federates one region per shard. Presets use 1, except
+///   `national-5m`, whose four regions shard by default.
+/// * `--fidelity event|fluid|auto` — presets use `event`, except
+///   `national-5m`, which uses `auto`.
+/// * `--workload trace:PATH` replays a recorded trace (`.csv` parses as
+///   interchange CSV, anything else as `ELCW` binary); `--workload
+///   generated` is the default spelled out. `--morph SPEC` (e.g.
+///   `stretch=2,scale=0.5,clip=48..96`) reshapes the replayed trace.
+/// * `--record-trace PATH` tees the generator-driven run into a trace
+///   file; the returned [`Recording`] writes it once the run is done.
+///   Stream order follows source creation within one run, so recording
+///   needs `scenario.shards() == 1` and `runs == 1`, where `runs` is how
+///   many runs the caller will drive through the scenario.
+///
+/// When `experiment` is the scale experiment (e18), event fidelity is
+/// refused above [`EVENT_BUDGET`]: an exam day at `national-5m` is tens
+/// of billions of events. The estimate is two events (arrival and
+/// completion) per request at the scenario's mean offered rate over one
+/// day.
 ///
 /// # Errors
 ///
-/// Returns a message when the flag has no value or the spec does not
-/// parse.
-pub fn chaos_from_flags(flags: &[(String, String)]) -> Result<Option<ChaosSpec>, String> {
+/// Returns a one-line diagnostic when the scenario is unknown, a flag is
+/// malformed or misused, the trace cannot be loaded, morphed or applied,
+/// or the configuration fails one of the checks above.
+pub fn scenario_from_flags(
+    flags: &[(String, String)],
+    name: &str,
+    seed: u64,
+    experiment: Option<&str>,
+    runs: u32,
+) -> Result<(Scenario, Option<Recording>), String> {
+    let mut scenario = scenario_by_name(name, seed).ok_or_else(|| unknown_scenario(name))?;
     match flag(flags, "chaos") {
-        None => Ok(None),
-        Some("") => Err("--chaos expects a campaign spec (e.g. disaster@0.79, or off)".to_string()),
-        Some(spec) => spec
-            .parse()
-            .map(Some)
-            .map_err(|e: elc_resil::chaos::ChaosParseError| format!("--chaos: {e}")),
+        None => {}
+        Some("") => {
+            return Err("--chaos expects a campaign spec (e.g. disaster@0.79, or off)".to_string())
+        }
+        Some(spec) => {
+            let spec: ChaosSpec = spec
+                .parse()
+                .map_err(|e: elc_resil::chaos::ChaosParseError| format!("--chaos: {e}"))?;
+            scenario = scenario.with_chaos(spec);
+        }
     }
-}
-
-/// Extracts `--shards <n>`, the arm-parallelism level. Returns `None`
-/// when the flag is absent — the scenario then keeps its preset shard
-/// count (1 everywhere except `national-5m`, whose four regions shard by
-/// default). E16, E17 and E19 spread their independent arms over up to
-/// `n` threads and print the same bytes at any value; E18 federates one
-/// region per shard.
-///
-/// # Errors
-///
-/// Returns a message when the value is not a number or is zero.
-pub fn shards_from_flags(flags: &[(String, String)]) -> Result<Option<u32>, String> {
-    if flag(flags, "shards").is_none() {
-        return Ok(None);
+    if flag(flags, "shards").is_some() {
+        match parse_or(flags, "shards", 1u32)? {
+            0 => return Err("--shards must be at least 1".to_string()),
+            n => scenario = scenario.with_shards(n),
+        }
     }
-    let shards: u32 = parse_or(flags, "shards", 1)?;
-    if shards == 0 {
-        return Err("--shards must be at least 1".to_string());
-    }
-    Ok(Some(shards))
-}
-
-/// Applies a `--shards` override, keeping the scenario's preset shard
-/// count when the flag was absent.
-#[must_use]
-pub fn with_shards_override(scenario: Scenario, shards: Option<u32>) -> Scenario {
-    match shards {
-        Some(n) => scenario.with_shards(n),
-        None => scenario,
-    }
-}
-
-/// Extracts `--fidelity <event|fluid|auto>`, the simulation-fidelity
-/// override. Returns `None` when the flag is absent — the scenario then
-/// keeps its preset fidelity (`event` everywhere except `national-5m`,
-/// which defaults to `auto`).
-///
-/// # Errors
-///
-/// Returns a message when the flag has no value or the value is not one
-/// of the three fidelities.
-pub fn fidelity_from_flags(flags: &[(String, String)]) -> Result<Option<Fidelity>, String> {
     match flag(flags, "fidelity") {
-        None => Ok(None),
-        Some("") => Err("--fidelity expects event, fluid or auto".to_string()),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|e: elc_fluid::FidelityParseError| format!("--fidelity: {e}")),
+        None => {}
+        Some("") => return Err("--fidelity expects event, fluid or auto".to_string()),
+        Some(v) => {
+            let fidelity: Fidelity = v
+                .parse()
+                .map_err(|e: elc_fluid::FidelityParseError| format!("--fidelity: {e}"))?;
+            scenario = scenario.with_fidelity(fidelity);
+        }
     }
-}
 
-/// Refuses configurations whose event-level cost is out of reach.
-///
-/// The per-request path is linear in offered requests; at the
-/// `national-5m` scale an exam day is tens of billions of events, so
-/// asking for `--fidelity event` there would not complete. The guard
-/// estimates the event count from the scenario's mean offered rate over
-/// one day (two events per request: arrival + completion) and rejects
-/// event-fidelity runs of the scale experiment (e18) above
-/// [`EVENT_BUDGET`] with a diagnostic pointing at fluid/auto.
-///
-/// # Errors
-///
-/// Returns the diagnostic when the configuration is infeasible.
-pub fn check_fidelity_feasible(experiment_id: &str, scenario: &Scenario) -> Result<(), String> {
-    if scenario.fidelity() != Fidelity::Event {
-        return Ok(());
+    let record = match flag(flags, "record-trace") {
+        None => None,
+        Some("") => return Err("--record-trace expects a file path".to_string()),
+        Some(p) => Some(PathBuf::from(p)),
+    };
+    let replay = match flag(flags, "workload") {
+        None | Some("generated") => None,
+        Some("") => {
+            return Err("--workload expects a source (generated, or trace:PATH)".to_string())
+        }
+        Some(spec) => match spec.strip_prefix("trace:") {
+            Some("") => return Err("--workload trace: expects a file path".to_string()),
+            Some(_) if record.is_some() => {
+                return Err("--record-trace cannot be combined with --workload trace: \
+                     (recording captures generator-driven runs)"
+                    .to_string())
+            }
+            Some(path) => Some(load_trace(Path::new(path))?),
+            None => {
+                return Err(format!(
+                    "--workload: unknown source {spec:?} (generated, or trace:PATH)"
+                ))
+            }
+        },
+    };
+    let replay = match (flag(flags, "morph"), replay) {
+        (None, replay) => replay,
+        (Some(_), None) => return Err("--morph requires --workload trace:PATH".to_string()),
+        (Some(spec), Some(trace)) => {
+            let morph = MorphSpec::parse(spec).map_err(|e| format!("--morph: {e}"))?;
+            Some(morph.apply(&trace).map_err(|e| format!("--morph: {e}"))?)
+        }
+    };
+    if let Some(trace) = replay {
+        scenario = scenario
+            .with_workload_trace(trace.into_shared())
+            .map_err(|e| format!("--workload: {e}"))?;
     }
-    if registry::find(experiment_id).map(|e| e.id()) != Some("e18") {
-        return Ok(());
+
+    if experiment.and_then(registry::find).map(|e| e.id()) == Some("e18")
+        && scenario.fidelity() == Fidelity::Event
+    {
+        let estimate = crate::experiments::e18::event_count_estimate(&scenario);
+        if estimate > EVENT_BUDGET {
+            return Err(format!(
+                "e18 on {} at event fidelity needs ~{estimate:.1e} events — beyond the \
+                 {EVENT_BUDGET:.0e}-event budget; rerun with --fidelity fluid or --fidelity auto",
+                scenario.name(),
+            ));
+        }
     }
-    let estimate = crate::experiments::e18::event_count_estimate(scenario);
-    if estimate > EVENT_BUDGET {
-        return Err(format!(
-            "e18 on {} at event fidelity needs ~{:.1e} events — beyond the {EVENT_BUDGET:.0e}-event \
-             budget; rerun with --fidelity fluid or --fidelity auto",
-            scenario.name(),
-            estimate
-        ));
-    }
-    Ok(())
+
+    let recording = match record {
+        None => None,
+        Some(_) if scenario.shards() != 1 || runs != 1 => {
+            return Err("--record-trace requires --shards 1 and a single run \
+                 (--replications 1, one --scenario): stream order follows source creation"
+                .to_string())
+        }
+        Some(path) => {
+            let recorder = elc_wltrace::TraceRecorder::new();
+            scenario.attach_recorder(recorder.clone());
+            Some(Recording { path, recorder })
+        }
+    };
+    Ok((scenario, recording))
 }
 
 /// The largest event-level run the CLI will accept for the scale
 /// experiment (~30 s of simulation at the measured events/sec).
 pub const EVENT_BUDGET: f64 = 2.0e9;
 
-/// Parsed `--workload`/`--morph`/`--record-trace` trio: where demand
-/// comes from and whether the run should be captured.
-///
-/// `--workload trace:PATH` replays a recorded trace (`.csv` files parse
-/// as interchange CSV, everything else as the `ELCW` binary format);
-/// `--workload generated` is the explicit spelling of the default.
-/// `--morph SPEC` (e.g. `stretch=2,scale=0.5,clip=48..96`) reshapes the
-/// replayed trace before the run. `--record-trace PATH` tees a
-/// generator-driven run into a trace file at PATH.
-#[derive(Debug, Clone, Default)]
-pub struct WorkloadOptions {
-    /// The loaded (and morphed) trace to replay, when requested.
-    pub replay: Option<Arc<WorkloadTrace>>,
-    /// Where to write the recorded trace, when recording was requested.
-    pub record: Option<PathBuf>,
+/// A `--record-trace` capture in progress: the recorder attached to the
+/// scenario and the file its trace goes to.
+#[derive(Debug)]
+pub struct Recording {
+    path: PathBuf,
+    recorder: elc_wltrace::TraceRecorder,
 }
 
-impl WorkloadOptions {
-    /// True when neither replay nor recording was requested.
-    #[must_use]
-    pub fn is_default(&self) -> bool {
-        self.replay.is_none() && self.record.is_none()
-    }
-
-    /// Extracts and validates the workload options, loading (and
-    /// morphing) the replay trace file when one is named.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when a flag is malformed, `--morph` appears
-    /// without `--workload trace:…`, `--record-trace` is combined with
-    /// replay, or the trace file cannot be read, parsed, or morphed.
-    pub fn from_flags(flags: &[(String, String)]) -> Result<WorkloadOptions, String> {
-        let record = match flag(flags, "record-trace") {
-            None => None,
-            Some("") => return Err("--record-trace expects a file path".to_string()),
-            Some(p) => Some(PathBuf::from(p)),
-        };
-        let replay = match flag(flags, "workload") {
-            None | Some("generated") => None,
-            Some("") => {
-                return Err("--workload expects a source (generated, or trace:PATH)".to_string())
-            }
-            Some(spec) => match spec.strip_prefix("trace:") {
-                Some("") => return Err("--workload trace: expects a file path".to_string()),
-                Some(path) => {
-                    if record.is_some() {
-                        return Err("--record-trace cannot be combined with --workload trace: \
-                             (recording captures generator-driven runs)"
-                            .to_string());
-                    }
-                    Some(load_trace(Path::new(path))?)
-                }
-                None => {
-                    return Err(format!(
-                        "--workload: unknown source {spec:?} (generated, or trace:PATH)"
-                    ))
-                }
-            },
-        };
-        let replay = match (flag(flags, "morph"), replay) {
-            (None, replay) => replay,
-            (Some(_), None) => return Err("--morph requires --workload trace:PATH".to_string()),
-            (Some(spec), Some(trace)) => {
-                let morph = MorphSpec::parse(spec).map_err(|e| format!("--morph: {e}"))?;
-                Some(morph.apply(&trace).map_err(|e| format!("--morph: {e}"))?)
-            }
-        };
-        Ok(WorkloadOptions {
-            replay: replay.map(WorkloadTrace::into_shared),
-            record,
-        })
-    }
-
-    /// Applies the replay choice to `scenario` (recording is attached by
-    /// the binary, which owns the recorder's lifecycle).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the trace fails scenario validation.
-    pub fn apply(&self, scenario: Scenario) -> Result<Scenario, String> {
-        match &self.replay {
-            None => Ok(scenario),
-            Some(trace) => scenario
-                .with_workload_trace(Arc::clone(trace))
-                .map_err(|e| format!("--workload: {e}")),
-        }
-    }
-
-    /// Attaches a fresh recorder to `scenario` when `--record-trace` was
-    /// given, returning the handle the caller later passes to
-    /// [`finish_recording`](WorkloadOptions::finish_recording).
-    #[must_use]
-    pub fn start_recording(&self, scenario: &mut Scenario) -> Option<elc_wltrace::TraceRecorder> {
-        self.record.as_ref().map(|_| {
-            let recorder = elc_wltrace::TraceRecorder::new();
-            scenario.attach_recorder(recorder.clone());
-            recorder
-        })
-    }
-
-    /// Finalises a recording: assembles the trace, writes it to the
-    /// `--record-trace` path (`.csv` as interchange CSV, anything else
-    /// as `ELCW` binary) and returns a one-line summary for stderr.
+impl Recording {
+    /// Assembles the recorded trace, writes it (`.csv` as interchange
+    /// CSV, anything else as `ELCW` binary) and returns a one-line
+    /// summary for stderr.
     ///
     /// # Errors
     ///
     /// Returns a message when nothing was recorded, the streams conflict,
     /// or the file cannot be written.
-    pub fn finish_recording(
-        &self,
-        recorder: &elc_wltrace::TraceRecorder,
-    ) -> Result<String, String> {
-        let path = self
-            .record
-            .as_ref()
-            .ok_or_else(|| "--record-trace was not requested".to_string())?;
-        let trace = recorder
+    pub fn finish(&self) -> Result<String, String> {
+        let trace = self
+            .recorder
             .finish()
             .map_err(|e| format!("--record-trace: {e}"))?;
-        let csv = path
-            .extension()
-            .is_some_and(|e| e.eq_ignore_ascii_case("csv"));
-        let written = if csv {
-            csvio::write_file(&trace, path)
+        let written = if is_csv(&self.path) {
+            csvio::write_file(&trace, &self.path)
         } else {
-            codec::write_file(&trace, path)
+            codec::write_file(&trace, &self.path)
         };
-        written.map_err(|e| format!("--record-trace {}: {e}", path.display()))?;
+        written.map_err(|e| format!("--record-trace {}: {e}", self.path.display()))?;
         Ok(format!(
             "recorded workload trace: {} stream(s), {} students -> {}",
             trace.streams.len(),
             trace.students,
-            path.display()
+            self.path.display()
         ))
     }
+}
+
+fn is_csv(path: &Path) -> bool {
+    path.extension()
+        .is_some_and(|e| e.eq_ignore_ascii_case("csv"))
 }
 
 /// Loads a workload trace from disk, dispatching on the extension:
 /// `.csv` parses as interchange CSV, everything else as `ELCW` binary.
 fn load_trace(path: &Path) -> Result<WorkloadTrace, String> {
-    let csv = path
-        .extension()
-        .is_some_and(|e| e.eq_ignore_ascii_case("csv"));
-    let loaded = if csv {
+    let loaded = if is_csv(path) {
         csvio::read_file(path)
     } else {
         codec::read_file(path)
@@ -509,87 +469,100 @@ mod tests {
     }
 
     #[test]
+    fn check_flags_names_the_first_unknown_flag() {
+        let (_, flags) = split_args(&args(&["--seed", "1", "--threads", "4", "--bogus"]));
+        assert_eq!(check_flags(&flags, &["seed", "threads", "bogus"]), Ok(()));
+        assert_eq!(
+            check_flags(&flags, &["seed"]),
+            Err("unknown flag --threads".to_string())
+        );
+    }
+
+    /// `scenario_from_flags` over `list` for the university preset, one run.
+    fn build(list: &[&str]) -> Result<Scenario, String> {
+        build_for(list, None, 1)
+    }
+
+    fn build_for(list: &[&str], experiment: Option<&str>, runs: u32) -> Result<Scenario, String> {
+        let (_, flags) = split_args(&args(list));
+        scenario_from_flags(&flags, "university", 1, experiment, runs).map(|(s, _)| s)
+    }
+
+    #[test]
+    fn no_flags_keep_the_preset() {
+        assert_eq!(build(&[]).unwrap(), Scenario::university(1));
+        assert_eq!(
+            build(&["--workload", "generated"]).unwrap(),
+            Scenario::university(1)
+        );
+        let (_, flags) = split_args(&args(&[]));
+        let err = scenario_from_flags(&flags, "atlantis-academy", 1, None, 1).unwrap_err();
+        assert_eq!(err, unknown_scenario("atlantis-academy"));
+    }
+
+    #[test]
     fn chaos_flag_parses_or_diagnoses() {
-        let (_, flags) = split_args(&args(&["--seed", "1"]));
-        assert_eq!(chaos_from_flags(&flags), Ok(None));
-
-        let (_, flags) = split_args(&args(&["--chaos", "off"]));
-        assert_eq!(chaos_from_flags(&flags), Ok(Some(ChaosSpec::off())));
-
-        let (_, flags) = split_args(&args(&["--chaos", "storm@0.3:n=4,mins=6;disaster@0.79"]));
-        let spec = chaos_from_flags(&flags).unwrap().unwrap();
-        assert_eq!(spec.campaigns().len(), 2);
-
-        let (_, flags) = split_args(&args(&["--chaos"]));
-        assert!(chaos_from_flags(&flags)
+        assert_eq!(build(&[]).unwrap().chaos(), None);
+        assert_eq!(
+            build(&["--chaos", "off"]).unwrap().chaos(),
+            Some(&ChaosSpec::off())
+        );
+        let s = build(&["--chaos", "storm@0.3:n=4,mins=6;disaster@0.79"]).unwrap();
+        assert_eq!(s.chaos().unwrap().campaigns().len(), 2);
+        assert!(build(&["--chaos"])
             .unwrap_err()
             .contains("expects a campaign spec"));
-
-        let (_, flags) = split_args(&args(&["--chaos", "meteor@0.5"]));
-        assert!(chaos_from_flags(&flags)
+        assert!(build(&["--chaos", "meteor@0.5"])
             .unwrap_err()
             .starts_with("--chaos:"));
     }
 
     #[test]
-    fn shards_flag_defaults_and_diagnoses() {
-        let (_, flags) = split_args(&args(&["--seed", "1"]));
-        assert_eq!(shards_from_flags(&flags), Ok(None));
-        let (_, flags) = split_args(&args(&["--shards", "4"]));
-        assert_eq!(shards_from_flags(&flags), Ok(Some(4)));
-        let (_, flags) = split_args(&args(&["--shards", "0"]));
-        assert!(shards_from_flags(&flags)
+    fn shards_flag_overrides_or_diagnoses() {
+        assert_eq!(build(&[]).unwrap().shards(), 1);
+        assert_eq!(build(&["--shards", "4"]).unwrap().shards(), 4);
+        assert!(build(&["--shards", "0"])
             .unwrap_err()
             .contains("at least 1"));
-        let (_, flags) = split_args(&args(&["--shards", "many"]));
-        assert!(shards_from_flags(&flags)
+        assert!(build(&["--shards", "many"])
             .unwrap_err()
             .contains("expects a number"));
     }
 
     #[test]
     fn fidelity_flag_parses_or_diagnoses() {
-        let (_, flags) = split_args(&args(&["--seed", "1"]));
-        assert_eq!(fidelity_from_flags(&flags), Ok(None));
+        assert_eq!(build(&[]).unwrap().fidelity(), Fidelity::Event);
         for (spell, want) in [
             ("event", Fidelity::Event),
             ("fluid", Fidelity::Fluid),
             ("auto", Fidelity::Auto),
         ] {
-            let (_, flags) = split_args(&args(&["--fidelity", spell]));
-            assert_eq!(fidelity_from_flags(&flags), Ok(Some(want)));
+            assert_eq!(build(&["--fidelity", spell]).unwrap().fidelity(), want);
         }
-        let (_, flags) = split_args(&args(&["--fidelity"]));
-        assert!(fidelity_from_flags(&flags)
+        assert!(build(&["--fidelity"])
             .unwrap_err()
             .contains("expects event, fluid or auto"));
-        let (_, flags) = split_args(&args(&["--fidelity", "psychic"]));
-        assert!(fidelity_from_flags(&flags).unwrap_err().contains("psychic"));
+        assert!(build(&["--fidelity", "psychic"])
+            .unwrap_err()
+            .contains("psychic"));
     }
 
     #[test]
     fn feasibility_guard_blocks_event_mode_at_national_scale() {
-        let national = Scenario::national_5m(1);
-        // The preset itself (auto) passes.
-        assert_eq!(check_fidelity_feasible("e18", &national), Ok(()));
-        assert_eq!(
-            check_fidelity_feasible("e18", &national.with_fidelity(Fidelity::Fluid)),
-            Ok(())
-        );
+        let national = |list: &[&str], experiment: &str| {
+            let (_, flags) = split_args(&args(list));
+            scenario_from_flags(&flags, "national-5m", 1, Some(experiment), 1).map(|(s, _)| s)
+        };
+        // The preset itself (auto) passes, as does fluid.
+        assert!(national(&[], "e18").is_ok());
+        assert!(national(&["--fidelity", "fluid"], "e18").is_ok());
         // Forcing event fidelity at 5M students is refused, with a hint.
-        let err =
-            check_fidelity_feasible("e18", &national.with_fidelity(Fidelity::Event)).unwrap_err();
+        let err = national(&["--fidelity", "event"], "E18").unwrap_err();
         assert!(err.contains("--fidelity fluid"), "{err}");
         // University-scale event runs stay allowed, as do other
         // experiments at any scale (they never sample per-request at 5M).
-        assert_eq!(
-            check_fidelity_feasible("e18", &Scenario::university(1)),
-            Ok(())
-        );
-        assert_eq!(
-            check_fidelity_feasible("e12", &national.with_fidelity(Fidelity::Event)),
-            Ok(())
-        );
+        assert!(build_for(&[], Some("e18"), 1).is_ok());
+        assert!(national(&["--fidelity", "event"], "e12").is_ok());
     }
 
     fn tiny_trace() -> WorkloadTrace {
@@ -611,105 +584,78 @@ mod tests {
     }
 
     #[test]
-    fn workload_options_default_to_generated() {
-        let (_, flags) = split_args(&args(&["--seed", "1"]));
-        let opts = WorkloadOptions::from_flags(&flags).unwrap();
-        assert!(opts.is_default());
-        let (_, flags) = split_args(&args(&["--workload", "generated"]));
-        assert!(WorkloadOptions::from_flags(&flags).unwrap().is_default());
-        let scenario = scenario_by_name("university", 1).unwrap();
-        assert_eq!(opts.apply(scenario.clone()).unwrap(), scenario);
-    }
-
-    #[test]
-    fn workload_options_load_morph_and_apply_traces() {
+    fn workload_flags_load_morph_and_apply_traces() {
         let dir = std::env::temp_dir().join("elc-cli-workload-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.elcw");
         elc_wltrace::codec::write_file(&tiny_trace(), &path).unwrap();
         let spec = format!("trace:{}", path.display());
 
-        let (_, flags) = split_args(&args(&["--workload", &spec]));
-        let opts = WorkloadOptions::from_flags(&flags).unwrap();
-        let trace = opts.replay.as_ref().expect("trace loaded");
-        assert_eq!(trace.students, 4_000);
-        let s = opts
-            .apply(scenario_by_name("university", 1).unwrap())
-            .unwrap();
+        let s = build(&["--workload", &spec]).unwrap();
+        assert_eq!(s.replay_trace().expect("trace loaded").students, 4_000);
         assert_eq!(s.students(), 4_000, "population follows the trace");
 
-        let (_, flags) = split_args(&args(&["--workload", &spec, "--morph", "scale=2"]));
-        let opts = WorkloadOptions::from_flags(&flags).unwrap();
-        assert_eq!(
-            opts.replay.unwrap().students,
-            8_000,
-            "morph ran at load time"
-        );
+        let s = build(&["--workload", &spec, "--morph", "scale=2"]).unwrap();
+        assert_eq!(s.students(), 8_000, "morph ran at load time");
 
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn workload_options_accept_csv_traces() {
+    fn workload_flags_accept_csv_traces() {
         let dir = std::env::temp_dir().join("elc-cli-workload-csv-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.csv");
         elc_wltrace::csvio::write_file(&tiny_trace(), &path).unwrap();
-        let (_, flags) = split_args(&args(&["--workload", &format!("trace:{}", path.display())]));
-        let opts = WorkloadOptions::from_flags(&flags).unwrap();
-        assert_eq!(opts.replay.unwrap().students, 4_000);
+        let s = build(&["--workload", &format!("trace:{}", path.display())]).unwrap();
+        assert_eq!(s.students(), 4_000);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn workload_options_diagnose_misuse() {
-        let (_, flags) = split_args(&args(&["--workload"]));
-        assert!(WorkloadOptions::from_flags(&flags)
-            .unwrap_err()
-            .contains("expects a source"));
-
-        let (_, flags) = split_args(&args(&["--workload", "psychic"]));
-        assert!(WorkloadOptions::from_flags(&flags)
-            .unwrap_err()
-            .contains("unknown source"));
-
-        let (_, flags) = split_args(&args(&["--workload", "trace:"]));
-        assert!(WorkloadOptions::from_flags(&flags)
-            .unwrap_err()
-            .contains("expects a file path"));
-
-        let (_, flags) = split_args(&args(&["--workload", "trace:/no/such/file.elcw"]));
-        assert!(WorkloadOptions::from_flags(&flags)
-            .unwrap_err()
-            .contains("/no/such/file.elcw"));
-
-        let (_, flags) = split_args(&args(&["--morph", "scale=2"]));
-        assert!(WorkloadOptions::from_flags(&flags)
-            .unwrap_err()
-            .contains("requires --workload trace:"));
-
-        let (_, flags) = split_args(&args(&["--record-trace"]));
-        assert!(WorkloadOptions::from_flags(&flags)
-            .unwrap_err()
-            .contains("expects a file path"));
-
-        let (_, flags) = split_args(&args(&[
-            "--record-trace",
-            "out.elcw",
-            "--workload",
-            "trace:in.elcw",
-        ]));
-        assert!(WorkloadOptions::from_flags(&flags)
-            .unwrap_err()
-            .contains("cannot be combined"));
+    fn workload_flags_diagnose_misuse() {
+        for (list, want) in [
+            (&["--workload"][..], "expects a source"),
+            (&["--workload", "psychic"], "unknown source"),
+            (&["--workload", "trace:"], "expects a file path"),
+            (
+                &["--workload", "trace:/no/such/file.elcw"],
+                "/no/such/file.elcw",
+            ),
+            (&["--morph", "scale=2"], "requires --workload trace:"),
+            (&["--record-trace"], "expects a file path"),
+            (
+                &["--record-trace", "out.elcw", "--workload", "trace:in.elcw"],
+                "cannot be combined",
+            ),
+        ] {
+            let err = build(list).unwrap_err();
+            assert!(err.contains(want), "{list:?}: {err}");
+        }
     }
 
     #[test]
-    fn record_flag_parses_alone() {
+    fn recording_needs_one_unsharded_run() {
         let (_, flags) = split_args(&args(&["--record-trace", "out.elcw"]));
-        let opts = WorkloadOptions::from_flags(&flags).unwrap();
-        assert_eq!(opts.record, Some(PathBuf::from("out.elcw")));
-        assert!(opts.replay.is_none());
+        let (scenario, recording) = scenario_from_flags(&flags, "university", 1, None, 1).unwrap();
+        assert_eq!(scenario.replay_trace(), None);
+        assert_eq!(recording.unwrap().path, PathBuf::from("out.elcw"));
+        let (_, flags) = split_args(&args(&[]));
+        assert!(scenario_from_flags(&flags, "university", 1, None, 1)
+            .unwrap()
+            .1
+            .is_none());
+
+        for (list, runs) in [
+            (&["--record-trace", "out.elcw", "--shards", "2"][..], 1),
+            (&["--record-trace", "out.elcw"], 8),
+        ] {
+            let err = build_for(list, None, runs).unwrap_err();
+            assert!(err.contains("requires --shards 1"), "{err}");
+        }
+        // national-5m shards by default, so recording it needs --shards 1.
+        let (_, flags) = split_args(&args(&["--record-trace", "out.elcw"]));
+        assert!(scenario_from_flags(&flags, "national-5m", 1, None, 1).is_err());
     }
 
     #[test]

@@ -245,8 +245,6 @@ fn simulate(scenario: &Scenario, strategy: Strategy, buckets: Vec<u64>) -> (Surg
     let horizon = SimTime::ZERO + SimDuration::from_hours(24);
 
     let mut dc = Datacenter::new("e12", FirstFit, SimDuration::from_secs(120));
-    // A generous host pool: enough for any fleet the experiment can ask.
-    dc.add_hosts(40, Resources::new(32, 128.0, 2_000.0));
 
     // Teaching-week evening peak (no exam multiplier): phase factor 1.0,
     // diurnal max 1.3.
@@ -266,6 +264,13 @@ fn simulate(scenario: &Scenario, strategy: Strategy, buckets: Vec<u64>) -> (Surg
             ((exam_peak * 1.2 / UNIT.requests_per_sec()).ceil() as u32).max(2)
         }
     };
+    // A generous host pool: 40 hosts take the autoscaler's 600-VM ceiling,
+    // and a larger fixed fleet gets as many as it fills (each 32-core host
+    // fits sixteen 2-core medium VMs).
+    dc.add_hosts(
+        40.max(initial.div_ceil(16) as usize),
+        Resources::new(32, 128.0, 2_000.0),
+    );
     for _ in 0..initial {
         dc.provision(UNIT, SimTime::ZERO)
             .expect("host pool sized for any fleet");
@@ -555,5 +560,19 @@ mod tests {
             assert_eq!(reused, run(&scenario), "seed {seed} diverged");
             assert!(!buckets.is_empty(), "storage must be handed back");
         }
+    }
+
+    #[test]
+    fn national_scale_fixed_fleets_fit_the_host_pool() {
+        // An exam-sized fleet for 5M students outgrows the 40-host floor;
+        // the pool grows with it instead of failing to place a VM.
+        let scenario = Scenario::national_5m(42);
+        let out = run(&scenario);
+        assert_eq!(out.rows.len(), Strategy::ALL.len());
+        let exam = out.row(Strategy::FixedExam);
+        assert!(exam.peak_vms > 640.0, "peak {}", exam.peak_vms);
+        assert!(exam.rejected_fraction < 0.01);
+        let suite = crate::experiments::run_all(&scenario);
+        assert_eq!(suite.e12, out);
     }
 }

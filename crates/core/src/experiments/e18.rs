@@ -14,7 +14,7 @@
 //! the [`elc_fluid`] engine at the scenario's fidelity —
 //!
 //! * **event** — exact per-request simulation; refused by the CLI at
-//!   national scale (see `cli_args::check_fidelity_feasible`),
+//!   national scale (see `cli_args::scenario_from_flags`),
 //! * **fluid** — per-tick flow integration, cost independent of the
 //!   request volume,
 //! * **auto** — fluid in steady state, materialized to event level

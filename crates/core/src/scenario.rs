@@ -370,7 +370,7 @@ impl Scenario {
     /// at this size needs tens of billions of events; the preset
     /// therefore defaults to [`Fidelity::Auto`], and the event path is
     /// refused by the CLI feasibility guard (see
-    /// `cli_args::check_fidelity_feasible`).
+    /// `cli_args::scenario_from_flags`).
     #[must_use]
     pub fn national_5m(seed: u64) -> Self {
         Scenario::builder("national-5m", 5_000_000)

@@ -5,7 +5,7 @@
 //! campus uplink out four times in an hour, a thermal event takes hosts
 //! down one after another, a §IV.B physical disaster lands mid-exam. A
 //! [`ChaosSpec`] describes such a campaign as a tiny, `Display`/`FromStr`
-//! round-trippable grammar (what `elc-run --chaos` accepts), and
+//! round-trippable grammar (what `elc run --chaos` accepts), and
 //! [`FaultTimeline::generate`] expands it against a horizon using a
 //! derived [`SimRng`] stream — so the same scenario seed always yields
 //! the same faults, byte-identical at any `--threads`.

@@ -29,7 +29,7 @@
 //! and free of wall-clock or platform state, so a policy decision is a
 //! pure function of `(configuration, seed lineage, sim time)` — the same
 //! property the kernel guarantees, which is what lets chaos campaigns stay
-//! byte-identical across any `--threads` in `elc-run`.
+//! byte-identical across any `--threads` in `elc run`.
 //!
 //! Policy activity is traced on the `"resil"` target: `retry.attempt`,
 //! `breaker.trip`, `shed.request` and `failover.switch`, all sim-time

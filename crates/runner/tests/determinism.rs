@@ -157,7 +157,7 @@ fn replication_count_is_reported_in_the_section() {
 }
 
 /// Renders the replicated run's full JSONL trace, one tracer per
-/// replication, labelled with its index — the artifact `elc-run --trace`
+/// replication, labelled with its index — the artifact `elc run --trace`
 /// writes.
 fn trace_bytes(threads: usize) -> String {
     let spec = RunSpec::new(find("e09").unwrap(), Scenario::small_college(42), 8)

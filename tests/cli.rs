@@ -1,13 +1,16 @@
-//! End-to-end tests of the `elc` and `elc-run` command-line interfaces.
+//! End-to-end tests of the `elc` command-line interface.
 
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 
 fn elc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_elc"))
 }
 
 fn elc_run() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_elc-run"))
+    let mut cmd = elc();
+    cmd.arg("run");
+    cmd
 }
 
 #[test]
@@ -184,9 +187,23 @@ fn elc_rejects_a_malformed_chaos_spec() {
     assert!(err.contains("--chaos:"), "{err}");
 }
 
+/// `elc run` has no listing flag of its own: it rejects `--list` and
+/// points at `elc experiments`, which prints the registry.
 #[test]
 fn elc_run_lists_experiments() {
     let out = elc_run().arg("--list").output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).expect("utf8");
+    assert!(err.contains("--list"), "{err}");
+
+    let out = elc_run()
+        .args(["--experiment", "e99"])
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8(out.stderr).expect("utf8");
+    assert!(err.contains("`elc experiments`"), "{err}");
+
+    let out = elc().arg("experiments").output().expect("binary runs");
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).expect("utf8");
     assert!(text.contains("e01"));
@@ -250,4 +267,101 @@ fn elc_run_aggregates_are_thread_count_invariant() {
     };
     let serial = run("1");
     assert_eq!(serial, run("4"));
+}
+
+#[test]
+fn subcommands_reject_flags_they_do_not_read() {
+    for (args, named) in [
+        (&["experiment", "e01", "--threads", "4"][..], "--threads"),
+        (&["run", "--experiment", "e01", "--bogus", "1"], "--bogus"),
+        (&["tables", "--bogus", "1"], "--bogus"),
+        (&["report", "--chaos", "disaster@0.5"], "--chaos"),
+        (
+            &["advise", "--shards", "4", "--fidelity", "fluid"],
+            "--shards",
+        ),
+        (&["run", "--list"], "--list"),
+        (&["experiments", "--seed", "3"], "--seed"),
+        (&["tables", "7"], "\"7\""),
+        (&["report", "university", "extra"], "\"extra\""),
+    ] {
+        let out = elc().args(args).output().expect("binary runs");
+        let err = String::from_utf8(out.stderr).expect("utf8");
+        assert_eq!(out.status.code(), Some(2), "elc {args:?}: {err}");
+        assert!(out.stdout.is_empty(), "elc {args:?} printed output");
+        assert!(
+            err.contains(named),
+            "elc {args:?} does not name {named}: {err}"
+        );
+        assert!(err.contains("usage:"), "elc {args:?}: {err}");
+    }
+}
+
+#[test]
+fn a_closed_stdout_is_a_clean_exit() {
+    let mut child = elc()
+        .args(["report", "university"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    // Close the read end before the report is written.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    let err = String::from_utf8(out.stderr).expect("utf8");
+    assert_ne!(out.status.code(), Some(101), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+fn golden(name: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+#[test]
+fn tables_prints_the_goldens_and_writes_one_csv_per_section() {
+    let cwd = std::env::temp_dir().join(format!("elc-tables-test-{}", std::process::id()));
+    std::fs::create_dir_all(&cwd).expect("temp dir");
+    let out = elc()
+        .args(["tables", "--seed", "42", "--scenario", "small-college"])
+        .current_dir(&cwd)
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).expect("utf8");
+    let report = golden("paper_tables_seed42_small-college.txt");
+    let e17 = golden("paper_tables_e17_seed42_small-college.txt");
+    // The E17 golden is the E17 section followed by T1F; the tables
+    // print E19 between the two.
+    let t1f_at = e17.find("== T1F").expect("E17 golden holds T1F");
+    for (name, want) in [
+        ("report", report.as_str()),
+        ("E16", &golden("paper_tables_e16_seed42_small-college.txt")),
+        ("E17", &e17[..t1f_at]),
+        ("T1F", &e17[t1f_at..]),
+        ("E19", &golden("paper_tables_e19_seed42_small-college.txt")),
+    ] {
+        assert!(text.contains(want), "{name} golden missing from:\n{text}");
+    }
+
+    let dir: PathBuf = cwd.join("results/small-college");
+    let written = std::fs::read_to_string(dir.join("report.txt")).expect("report.txt");
+    assert_eq!(written, report);
+    let sections = (1..=15).map(|i| format!("e{i}.csv")).chain(
+        ["t1", "e16", "e17", "e19", "t1f"]
+            .iter()
+            .map(|id| format!("{id}.csv")),
+    );
+    for file in sections {
+        let csv =
+            std::fs::read_to_string(dir.join(&file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+        assert!(csv.lines().count() > 1, "{file} has no rows");
+    }
+    std::fs::remove_dir_all(&cwd).ok();
 }

@@ -1,7 +1,7 @@
 //! Golden-output pin for the paper reproduction.
 //!
 //! `tests/golden/paper_tables_seed42_<scenario>.txt` holds the full report
-//! (E1–E15 and T1) rendered at seed 42 — the same text `paper-tables
+//! (E1–E15 and T1) rendered at seed 42 — the same text `elc tables
 //! --seed 42` prints per scenario. The typed-metric refactor moved every
 //! experiment
 //! from hand-built tables to `MetricTable`, and this test is the proof the

@@ -1,13 +1,14 @@
 //! A4 ablation — E12's closed-form load-latency curve vs an explicit
 //! M/M/c queueing station.
 //!
-//! E12 converts per-minute utilization into latency with an M/M/1-style
-//! formula. This ablation drives the same offered load through
-//! `elc_simcore::queueing::Station` and compares the sojourn times, so the
-//! approximation's error is on the record.
+//! E12, E16 and E17 convert per-minute utilization into latency with one
+//! M/M/1-style formula, [`load_latency_s`]. This ablation drives the same
+//! offered load through `elc_simcore::queueing::Station` and compares the
+//! sojourn times, so the approximation's error is on the record.
 
 use elc_bench::crit::{criterion_group, criterion_main, Criterion};
 use elc_bench::{quick_criterion, HARNESS_SEED};
+use elc_core::experiments::load_latency_s;
 use elc_simcore::dist::{Distribution, Exp};
 use elc_simcore::queueing::Station;
 use elc_simcore::{SimDuration, SimRng, SimTime};
@@ -35,15 +36,6 @@ fn station_sojourn(servers: usize, rho: f64, rng: &mut SimRng) -> f64 {
     st.sojourn_time().mean()
 }
 
-/// E12's closed-form approximation.
-fn formula_latency(rho: f64) -> f64 {
-    if rho < 0.95 {
-        (SERVICE_S / (1.0 - rho)).min(10.0)
-    } else {
-        10.0
-    }
-}
-
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("a4_latency_model");
     g.bench_function("station_60k_jobs_rho07", |b| {
@@ -52,7 +44,7 @@ fn bench(c: &mut Criterion) {
             station_sojourn(black_box(8), 0.7, &mut rng)
         })
     });
-    g.bench_function("formula", |b| b.iter(|| formula_latency(black_box(0.7))));
+    g.bench_function("formula", |b| b.iter(|| load_latency_s(black_box(0.7))));
     g.finish();
 
     println!("\nA4 ablation — mean latency: M/M/c station vs E12's formula (8 servers):");
@@ -60,7 +52,7 @@ fn bench(c: &mut Criterion) {
     let mut rng = SimRng::seed(HARNESS_SEED);
     for rho in [0.3, 0.5, 0.7, 0.85, 0.93] {
         let st = station_sojourn(8, rho, &mut rng);
-        let f = formula_latency(rho);
+        let f = load_latency_s(rho);
         println!("  {rho:.2}  {st:>9.4}  {f:>9.4}  {:>5.2}", f / st);
     }
     println!("  (the formula is conservative: an M/M/1 curve over-estimates a pooled M/M/c)");

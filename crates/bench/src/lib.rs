@@ -1,8 +1,9 @@
 //! # elc-bench — benchmark harness for the elearn-cloud experiments
 //!
-//! `benches/` holds one micro-benchmark per experiment plus the kernel
-//! ablation `a1_kernel` (binary-heap event queue vs the naive baseline),
-//! all on the dependency-free [`crit`] harness; the `sensitivity` binary
+//! `benches/` holds `experiments` (every registry entry's `run`, timed
+//! and printed), the ablations `a1`–`a4` (`a1_kernel`: binary-heap event
+//! queue vs the naive baseline) and the gated `a5_hotpath`, all on the
+//! dependency-free [`crit`] harness; the `sensitivity` binary
 //! sweeps the calibration behind E1's cost crossover. Every table of the
 //! reproduction is regenerated by `elc tables` in the root package.
 

@@ -2,9 +2,11 @@
 //!
 //! Paper claim under test: the abstract motivates clouds for e-learning by
 //! the "dynamically allocation of computation and storage resources";
-//! §IV.A's counterpart is the fixed on-premise fleet. A discrete-event
-//! simulation drives one exam day (the workload's 4× surge) against five
-//! capacity strategies:
+//! §IV.A's counterpart is the fixed on-premise fleet. A one-minute tick
+//! loop steps one exam day (the workload's 4× surge) against five
+//! capacity strategies: each tick draws the minute's arrivals, serves
+//! what the datacenter's running VMs can take and rejects the rest, and
+//! an autoscaler probe runs every two minutes:
 //!
 //! * **elastic** — target-tracking autoscaler, 2-minute boot delay,
 //! * **fixed-teaching** — fleet sized for an ordinary teaching peak (the
@@ -32,31 +34,27 @@ use elc_analysis::report::Section;
 use elc_cloud::autoscale::{AutoScaler, ScaleDecision};
 use elc_cloud::datacenter::Datacenter;
 use elc_cloud::placement::FirstFit;
-use elc_cloud::resources::{Resources, VmSize};
+use elc_cloud::resources::Resources;
 use elc_cloud::vm::VmState;
 use elc_elearn::source::WorkloadSource;
 use elc_simcore::metrics::Histogram;
 use elc_simcore::rng::SimRng;
 use elc_simcore::series::TimeWeighted;
-use elc_simcore::sim::Simulation;
 use elc_simcore::time::{SimDuration, SimTime};
 
+use super::exam_day::{
+    exam_day_start, load_latency_s, midnight_fleet, peak_fleet, standard_scaler, Clock, UNIT,
+};
 use crate::scenario::Scenario;
-
-/// The instance size fleets are built from.
-const UNIT: VmSize = VmSize::Medium;
-
-/// Base service latency of an unloaded instance, seconds.
-const BASE_LATENCY_S: f64 = 0.12;
-
-/// Latency cap when saturated, seconds.
-const MAX_LATENCY_S: f64 = 10.0;
-
-/// Control-loop tick.
-const TICK: SimDuration = SimDuration::from_secs(60);
 
 /// Autoscaler probe interval.
 const SCALE_EVERY: SimDuration = SimDuration::from_secs(120);
+
+/// Offset of each probe after the tick that precedes it.
+const SCALE_OFFSET: SimDuration = SimDuration::from_secs(30);
+
+/// When the failure arms lose their busiest host: the evening peak.
+const HOST_FAILURE_AT: SimDuration = SimDuration::from_hours(19);
 
 /// How a fleet is sized (and whether a host failure is injected at the
 /// evening peak).
@@ -137,8 +135,7 @@ struct World {
     dc: Datacenter,
     scaler: Option<AutoScaler>,
     workload: Box<dyn WorkloadSource>,
-    /// Offset of the simulated day within the calendar.
-    day_start: SimTime,
+    clock: Clock,
     rng: SimRng,
     /// Fluid fidelity: demand is the deterministic mean flow
     /// `rate × tick` instead of a Poisson draw per tick.
@@ -153,96 +150,89 @@ struct World {
 }
 
 impl World {
-    fn cal_time(&self, now: SimTime) -> SimTime {
-        self.day_start + (now - SimTime::ZERO)
+    fn tick(&mut self, now: SimTime) {
+        let cal_now = self.clock.calendar(now);
+        // Demand comes through the WorkloadSource trait: generator-backed
+        // sources draw the same Poisson the inline code used to, replayed
+        // traces return their recorded counts. At fluid fidelity the draw
+        // is replaced by the mean flow — the tick-level mean-field limit of
+        // the same arrival process.
+        let arrivals = if self.fluid {
+            self.workload.rate_at(cal_now) * self.clock.tick_s()
+        } else {
+            self.workload
+                .sample_arrivals(&mut self.rng, cal_now, self.clock.tick()) as f64
+        };
+        let capacity = self.dc.serving_capacity_rps(now) * self.clock.tick_s();
+        let served = arrivals.min(capacity);
+        self.offered += arrivals;
+        self.rejected += if self.fluid {
+            arrivals - served
+        } else {
+            // Keep the event path's exact truncation semantics.
+            (arrivals - served) as u64 as f64
+        };
+        // Latency from the utilization of the serving fleet, capped when
+        // saturated.
+        let rho = if capacity > 0.0 {
+            arrivals / capacity
+        } else {
+            1.0
+        };
+        self.latency.record(load_latency_s(rho));
+        let fleet_now = self.dc.active_vm_count() as f64;
+        self.fleet.set(now, fleet_now);
     }
-}
 
-fn active_vms(dc: &Datacenter) -> Vec<elc_cloud::vm::VmId> {
-    dc.vms()
-        .filter(|vm| matches!(vm.state(), VmState::Provisioning { .. } | VmState::Running))
-        .map(elc_cloud::vm::Vm::id)
-        .collect()
-}
-
-fn tick(sim: &mut Simulation<World>) {
-    let now = sim.now();
-    let w = sim.state_mut();
-    let cal_now = w.cal_time(now);
-    // Demand comes through the WorkloadSource trait: generator-backed
-    // sources draw the same Poisson the inline code used to, replayed
-    // traces return their recorded counts. At fluid fidelity the draw
-    // is replaced by the mean flow — the tick-level mean-field limit of
-    // the same arrival process.
-    let arrivals = if w.fluid {
-        w.workload.rate_at(cal_now) * TICK.as_secs_f64()
-    } else {
-        w.workload.sample_arrivals(&mut w.rng, cal_now, TICK) as f64
-    };
-    let capacity = w.dc.serving_capacity_rps(now) * TICK.as_secs_f64();
-    let served = arrivals.min(capacity);
-    w.offered += arrivals;
-    w.rejected += if w.fluid {
-        arrivals - served
-    } else {
-        // Keep the event path's exact truncation semantics.
-        (arrivals - served) as u64 as f64
-    };
-    // M/M/1-style load-latency curve on the utilization of the serving
-    // fleet, capped when saturated.
-    let rho = if capacity > 0.0 {
-        arrivals / capacity
-    } else {
-        1.0
-    };
-    let latency = if rho < 0.95 {
-        (BASE_LATENCY_S / (1.0 - rho)).min(MAX_LATENCY_S)
-    } else {
-        MAX_LATENCY_S
-    };
-    w.latency.record(latency);
-    let fleet_now = w.dc.active_vm_count() as f64;
-    w.fleet.set(now, fleet_now);
-}
-
-fn autoscale(sim: &mut Simulation<World>) {
-    let now = sim.now();
-    let w = sim.state_mut();
-    let Some(scaler) = w.scaler.as_mut() else {
-        return;
-    };
-    let cal_now = w.day_start + (now - SimTime::ZERO);
-    let rate = w.workload.rate_at(cal_now);
-    let current = w.dc.active_vm_count() as u32;
-    match scaler.decide(now, current, rate, UNIT.requests_per_sec()) {
-        ScaleDecision::ScaleUp(n) => {
-            for _ in 0..n {
-                // Capacity errors only happen if the host pool is
-                // undersized; the experiment provisions a generous pool.
-                let _ = w.dc.provision(UNIT, now);
+    fn autoscale(&mut self, now: SimTime) {
+        let Some(scaler) = self.scaler.as_mut() else {
+            return;
+        };
+        let rate = self.workload.rate_at(self.clock.calendar(now));
+        let current = self.dc.active_vm_count() as u32;
+        match scaler.decide(now, current, rate, UNIT.requests_per_sec()) {
+            ScaleDecision::ScaleUp(n) => {
+                for _ in 0..n {
+                    // Capacity errors only happen if the host pool is
+                    // undersized; the experiment provisions a generous pool.
+                    let _ = self.dc.provision(UNIT, now);
+                }
             }
-        }
-        ScaleDecision::ScaleDown(n) => {
-            let victims = active_vms(&w.dc);
-            for &vm in victims.iter().rev().take(n as usize) {
-                w.dc.decommission(vm, now);
+            ScaleDecision::ScaleDown(n) => {
+                let victims: Vec<_> = self
+                    .dc
+                    .vms()
+                    .filter(|vm| {
+                        matches!(vm.state(), VmState::Provisioning { .. } | VmState::Running)
+                    })
+                    .map(elc_cloud::vm::Vm::id)
+                    .collect();
+                for &vm in victims.iter().rev().take(n as usize) {
+                    self.dc.decommission(vm, now);
+                }
             }
+            ScaleDecision::Hold => {}
         }
-        ScaleDecision::Hold => {}
+    }
+
+    /// Kills the most loaded host; its VMs die with it.
+    fn kill_busiest_host(&mut self, now: SimTime) {
+        let victim = self
+            .dc
+            .hosts()
+            .filter(|h| h.is_alive())
+            .max_by_key(|h| h.vms().len())
+            .map(elc_cloud::host::Host::id);
+        if let Some(host) = victim {
+            self.dc.fail_host(host, now);
+        }
     }
 }
 
 /// Simulates one strategy over 24 hours of the exam day.
-///
-/// `buckets` is caller-owned histogram storage: it is consumed via
-/// `Histogram::from_buckets` and handed back alongside the row so a
-/// replication loop re-runs without re-allocating it.
-fn simulate(scenario: &Scenario, strategy: Strategy, buckets: Vec<u64>) -> (SurgeRow, Vec<u64>) {
+fn simulate(scenario: &Scenario, strategy: Strategy) -> SurgeRow {
     let workload = scenario.workload();
-    let cal = scenario.calendar();
-    // Day 2 of the exam period (a weekday under the standard calendar).
-    let day_start = cal.exams_start() + SimDuration::from_days(1);
-    let horizon = SimTime::ZERO + SimDuration::from_hours(24);
+    let clock = Clock::day(exam_day_start(scenario));
 
     let mut dc = Datacenter::new("e12", FirstFit, SimDuration::from_secs(120));
 
@@ -253,16 +243,10 @@ fn simulate(scenario: &Scenario, strategy: Strategy, buckets: Vec<u64>) -> (Surg
 
     let initial = match strategy {
         Strategy::Elastic | Strategy::ElasticHostFailure => {
-            // Start right-sized for the midnight load.
-            let rate0 = workload.rate_at(day_start);
-            ((rate0 / (UNIT.requests_per_sec() * 0.6)).ceil() as u32).max(2)
+            midnight_fleet(workload.rate_at(clock.calendar(SimTime::ZERO)))
         }
-        Strategy::FixedTeaching => {
-            ((teaching_peak * 1.2 / UNIT.requests_per_sec()).ceil() as u32).max(2)
-        }
-        Strategy::FixedExam | Strategy::FixedExamHostFailure => {
-            ((exam_peak * 1.2 / UNIT.requests_per_sec()).ceil() as u32).max(2)
-        }
+        Strategy::FixedTeaching => peak_fleet(teaching_peak),
+        Strategy::FixedExam | Strategy::FixedExamHostFailure => peak_fleet(exam_peak),
     };
     // A generous host pool: 40 hosts take the autoscaler's 600-VM ceiling,
     // and a larger fixed fleet gets as many as it fills (each 32-core host
@@ -276,54 +260,45 @@ fn simulate(scenario: &Scenario, strategy: Strategy, buckets: Vec<u64>) -> (Surg
             .expect("host pool sized for any fleet");
     }
 
-    let scaler = strategy
-        .is_elastic()
-        .then(|| AutoScaler::new(2, 600, 0.6, SimDuration::from_secs(240)));
-
-    let world = World {
+    let mut w = World {
         fleet: TimeWeighted::new(SimTime::ZERO, f64::from(initial)),
         dc,
-        scaler,
+        scaler: strategy.is_elastic().then(standard_scaler),
         workload,
-        day_start,
+        clock,
         rng: SimRng::seed(scenario.seed())
             .derive("e12")
             .derive(&strategy.to_string()),
         fluid: scenario.fidelity().uses_fluid(),
         offered: 0.0,
         rejected: 0.0,
-        latency: Histogram::from_buckets(buckets),
+        latency: Histogram::new(),
     };
 
-    let mut sim = Simulation::new(scenario.seed(), world);
-    sim.schedule_every(SimDuration::ZERO, TICK, move |sim| {
-        tick(sim);
-        sim.now() < SimTime::ZERO + SimDuration::from_hours(24)
-    });
-    sim.schedule_every(SimDuration::from_secs(30), SCALE_EVERY, move |sim| {
-        autoscale(sim);
-        sim.now() < SimTime::ZERO + SimDuration::from_hours(24)
-    });
-    if strategy.injects_failure() {
-        // Kill the most loaded host at the evening peak; its VMs die with
-        // it (failure-injection arm of the experiment).
-        sim.schedule_in(SimDuration::from_hours(19), |sim| {
-            let now = sim.now();
-            let w = sim.state_mut();
-            let victim =
-                w.dc.hosts()
-                    .filter(|h| h.is_alive())
-                    .max_by_key(|h| h.vms().len())
-                    .map(elc_cloud::host::Host::id);
-            if let Some(host) = victim {
-                w.dc.fail_host(host, now);
-            }
-        });
+    let horizon = clock.end();
+    let host_failure = strategy
+        .injects_failure()
+        .then_some(SimTime::ZERO + HOST_FAILURE_AT);
+    // The day's ticks run through 24:00 itself: that 1,441st tick is part
+    // of E12's goldens.
+    for now in clock.ticks().chain([horizon]) {
+        // The 19:00 kill lands before the 19:00 tick.
+        if host_failure == Some(now) {
+            w.kill_busiest_host(now);
+        }
+        w.tick(now);
+        // The scaler probes 30 s after every other tick: 30 s + 120 s·k.
+        let probe = now + SCALE_OFFSET;
+        if (now - SimTime::ZERO)
+            .as_nanos()
+            .is_multiple_of(SCALE_EVERY.as_nanos())
+            && probe <= horizon
+        {
+            w.autoscale(probe);
+        }
     }
-    sim.run_until(horizon);
 
-    let w = sim.into_state();
-    let row = SurgeRow {
+    SurgeRow {
         strategy,
         rejected_fraction: if w.offered == 0.0 {
             0.0
@@ -333,29 +308,18 @@ fn simulate(scenario: &Scenario, strategy: Strategy, buckets: Vec<u64>) -> (Surg
         p95_latency_s: w.latency.p95(),
         vm_hours: w.fleet.integral(horizon) / 3_600.0,
         peak_vms: w.fleet.max(),
-    };
-    (row, w.latency.into_buckets())
+    }
 }
 
 /// Runs all five strategies.
 #[must_use]
 pub fn run(scenario: &Scenario) -> Output {
-    run_with_buckets(scenario, &mut Vec::new())
-}
-
-/// Runs all five strategies, reusing `buckets` as the latency histogram's
-/// storage — across strategies here, and across replications when the
-/// caller keeps the vector around (the `elc-runner` scratch path). Output
-/// is identical to [`run`]: the buffer is storage, never state.
-#[must_use]
-pub fn run_with_buckets(scenario: &Scenario, buckets: &mut Vec<u64>) -> Output {
-    let mut rows = Vec::with_capacity(Strategy::ALL.len());
-    for &s in &Strategy::ALL {
-        let (row, reclaimed) = simulate(scenario, s, std::mem::take(buckets));
-        *buckets = reclaimed;
-        rows.push(row);
+    Output {
+        rows: Strategy::ALL
+            .iter()
+            .map(|&s| simulate(scenario, s))
+            .collect(),
     }
-    Output { rows }
 }
 
 impl Output {
@@ -415,6 +379,7 @@ impl Output {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::exam_day::MAX_LATENCY_S;
 
     fn output() -> Output {
         run(&Scenario::university(41))
@@ -546,19 +511,6 @@ mod tests {
             // The autoscaler is rate-driven, so the fleet is identical.
             assert!((e.vm_hours - f.vm_hours).abs() < 1e-9, "{s}: fleet moved");
             assert!((e.peak_vms - f.peak_vms).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn bucket_reuse_is_invisible_in_the_output() {
-        // Back-to-back replications through one reused buffer must match
-        // fresh runs exactly — scratch is storage, never state.
-        let mut buckets = Vec::new();
-        for seed in [8, 9, 41] {
-            let scenario = Scenario::university(seed);
-            let reused = run_with_buckets(&scenario, &mut buckets);
-            assert_eq!(reused, run(&scenario), "seed {seed} diverged");
-            assert!(!buckets.is_empty(), "storage must be handed back");
         }
     }
 

@@ -32,8 +32,6 @@
 
 use elc_analysis::metrics::{Cell, MetricSet, MetricTable};
 use elc_analysis::report::Section;
-use elc_cloud::autoscale::{AutoScaler, ScaleDecision};
-use elc_cloud::resources::VmSize;
 use elc_deploy::hybrid::FailoverPlan;
 use elc_elearn::request::{RequestKind, RequestOutcome};
 use elc_elearn::source::WorkloadSource;
@@ -44,43 +42,15 @@ use elc_resil::failover::{HybridFailover, Route};
 use elc_resil::retry::RetryPolicy;
 use elc_resil::timeout::TimeoutPolicy;
 use elc_simcore::rng::SimRng;
-use elc_simcore::sim::Simulation;
 use elc_simcore::time::{SimDuration, SimTime};
 
+use super::exam_day::{
+    exam_day_start, load_latency_s, peak_fleet, Clock, ElasticFleet, DAY, EXAM_MIX, UNIT,
+};
 use crate::scenario::Scenario;
-
-/// The instance size every fleet is built from.
-const UNIT: VmSize = VmSize::Medium;
-
-/// Base service latency of an unloaded fleet, seconds.
-const BASE_LATENCY_S: f64 = 0.12;
-
-/// Latency cap when saturated, seconds.
-const MAX_LATENCY_S: f64 = 10.0;
-
-/// Control-loop tick.
-const TICK: SimDuration = SimDuration::from_secs(60);
-
-/// The simulated day.
-const HORIZON: SimDuration = SimDuration::from_hours(24);
 
 /// Share of the private fleet the hybrid can burst into public capacity.
 const BURST_FRACTION: f64 = 0.6;
-
-/// The exam-day request mix as per-kind fractions (the weights of
-/// `RequestMix::exam`, normalized). Demand is deterministic — rate × mix —
-/// so the resilience comparison isn't clouded by sampling noise.
-const EXAM_MIX: [(RequestKind, f64); 9] = [
-    (RequestKind::Login, 0.10),
-    (RequestKind::CoursePage, 0.09),
-    (RequestKind::VideoChunk, 0.02),
-    (RequestKind::QuizFetch, 0.40),
-    (RequestKind::QuizSubmit, 0.35),
-    (RequestKind::Upload, 0.01),
-    (RequestKind::Download, 0.01),
-    (RequestKind::ForumRead, 0.015),
-    (RequestKind::ForumPost, 0.005),
-];
 
 /// One deployment model under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,15 +128,14 @@ struct Cohort {
 struct World {
     model: DeployModel,
     workload: Box<dyn WorkloadSource>,
-    day_start: SimTime,
+    clock: Clock,
     timeline: FaultTimeline,
     rng: SimRng,
     retry: RetryPolicy,
     timeout: TimeoutPolicy,
     admission: AdmissionController,
     failover: Option<HybridFailover>,
-    scaler: Option<AutoScaler>,
-    public_units: u32,
+    public: ElasticFleet,
     private_units: u32,
     burst_units: u32,
     /// Unserved writes queued at the server (never dropped while any
@@ -177,7 +146,6 @@ struct World {
     outcomes: [f64; 4],
     quiz_lost: f64,
     retry_attempts: f64,
-    tick_index: u64,
 }
 
 impl World {
@@ -207,19 +175,11 @@ impl World {
         };
         match self.model {
             DeployModel::Public => {
-                if let Some(scaler) = self.scaler.as_mut() {
-                    match scaler.decide(now, self.public_units, rate, UNIT.requests_per_sec()) {
-                        ScaleDecision::ScaleUp(n) => self.public_units += n,
-                        ScaleDecision::ScaleDown(n) => {
-                            self.public_units = self.public_units.saturating_sub(n).max(1);
-                        }
-                        ScaleDecision::Hold => {}
-                    }
-                }
+                let units = self.public.follow(now, rate);
                 if storm {
                     0.0
                 } else {
-                    f64::from(self.public_units) * UNIT.requests_per_sec()
+                    f64::from(units) * UNIT.requests_per_sec()
                 }
             }
             DeployModel::Private => f64::from(private_alive) * UNIT.requests_per_sec(),
@@ -256,7 +216,9 @@ impl World {
         if self.retry.should_retry(kind, attempts) {
             let backoff = self.retry.backoff(now, &mut self.rng, prev, attempts);
             let due = now + backoff;
-            let due_tick = (due - SimTime::ZERO).as_nanos().div_ceil(TICK.as_nanos());
+            let due_tick = (due - SimTime::ZERO)
+                .as_nanos()
+                .div_ceil(self.clock.tick().as_nanos());
             self.retry_attempts += count;
             self.cohorts.push(Cohort {
                 due_tick,
@@ -271,17 +233,13 @@ impl World {
     }
 }
 
-fn tick(sim: &mut Simulation<World>) {
-    let now = sim.now();
-    let w = sim.state_mut();
-    let cal_now = w.day_start + (now - SimTime::ZERO);
-    let rate = w.workload.rate_at(cal_now);
-    let cap = w.capacity_rps(now, rate) * TICK.as_secs_f64();
-    let tick_index = w.tick_index;
-    w.tick_index += 1;
+/// One control tick: `tick_index` is the tick's position in the day.
+fn tick(w: &mut World, tick_index: u64, now: SimTime) {
+    let rate = w.workload.rate_at(w.clock.calendar(now));
+    let cap = w.capacity_rps(now, rate) * w.clock.tick_s();
 
     // Fresh demand, split by the exam mix.
-    let fresh_total = rate * TICK.as_secs_f64();
+    let fresh_total = rate * w.clock.tick_s();
     let mut fresh: Vec<(RequestKind, f64)> = EXAM_MIX
         .iter()
         .map(|&(kind, frac)| (kind, fresh_total * frac))
@@ -383,13 +341,7 @@ fn tick(sim: &mut Simulation<World>) {
     // Minute-level latency from the utilization actually served, the same
     // M/M/1 curve as E12; the per-kind deadline decides served-vs-degraded.
     let served_total = (cap - cap_left) + reads_demand * reads_served_frac;
-    let rho = served_total / cap;
-    let latency_s = if rho < 0.95 {
-        (BASE_LATENCY_S / (1.0 - rho)).min(MAX_LATENCY_S)
-    } else {
-        MAX_LATENCY_S
-    };
-    let latency = SimDuration::from_secs_f64(latency_s);
+    let latency = SimDuration::from_secs_f64(load_latency_s(served_total / cap));
 
     let writes_scale = if writes_demand > 0.0 {
         writes_served / writes_demand
@@ -420,23 +372,21 @@ fn tick(sim: &mut Simulation<World>) {
     }
 }
 
-/// Simulates one deployment model over the chaos day.
-fn simulate(scenario: &Scenario, chaos: &ChaosSpec, model: DeployModel) -> ResilienceRow {
+/// Simulates one deployment model over the chaos day. Returns the row and
+/// the day's ledger total — everything booked as served, degraded, shed or
+/// gave-up, midnight leftovers included — which the conservation test
+/// checks against the fresh demand offered.
+fn simulate(scenario: &Scenario, chaos: &ChaosSpec, model: DeployModel) -> (ResilienceRow, f64) {
     let workload = scenario.workload();
-    let cal = scenario.calendar();
-    // Day 2 of the exam period, as in E12 — the day the faults hurt most.
-    let day_start = cal.exams_start() + SimDuration::from_days(1);
-    let horizon = SimTime::ZERO + HORIZON;
+    let clock = Clock::day(exam_day_start(scenario));
 
     let rng_root = SimRng::seed(scenario.seed()).derive("e16");
-    let timeline = FaultTimeline::generate(chaos, &rng_root.derive("chaos"), HORIZON);
+    let timeline = FaultTimeline::generate(chaos, &rng_root.derive("chaos"), DAY);
 
-    let exam_peak = workload.peak_rate();
-    let private_units = ((exam_peak * 1.2 / UNIT.requests_per_sec()).ceil() as u32).max(2);
+    let private_units = peak_fleet(workload.peak_rate());
     let plan = FailoverPlan::private_to_public(BURST_FRACTION);
     let burst_units = plan.burst_capacity(private_units);
-    let rate0 = workload.rate_at(day_start);
-    let public_initial = ((rate0 / (UNIT.requests_per_sec() * 0.6)).ceil() as u32).max(2);
+    let public = ElasticFleet::at_midnight(workload.rate_at(clock.calendar(SimTime::ZERO)));
 
     let failover = (model == DeployModel::Hybrid).then(|| {
         // Threshold 1 + per-tick probes: the breaker trips on the first
@@ -446,21 +396,18 @@ fn simulate(scenario: &Scenario, chaos: &ChaosSpec, model: DeployModel) -> Resil
             plan,
         )
     });
-    let scaler = (model == DeployModel::Public)
-        .then(|| AutoScaler::new(2, 600, 0.6, SimDuration::from_secs(240)));
 
-    let world = World {
+    let mut w = World {
         model,
         workload,
-        day_start,
+        clock,
         timeline,
         rng: rng_root.derive(&model.to_string()),
         retry: RetryPolicy::standard(),
         timeout: TimeoutPolicy::standard(),
         admission: AdmissionController::standard(),
         failover,
-        scaler,
-        public_units: public_initial,
+        public,
         private_units,
         burst_units,
         write_backlog: 0.0,
@@ -468,20 +415,13 @@ fn simulate(scenario: &Scenario, chaos: &ChaosSpec, model: DeployModel) -> Resil
         outcomes: [0.0; 4],
         quiz_lost: 0.0,
         retry_attempts: 0.0,
-        tick_index: 0,
     };
+    for (tick_index, now) in clock.ticks().enumerate() {
+        tick(&mut w, tick_index as u64, now);
+    }
 
-    let mut sim = Simulation::new(scenario.seed(), world);
-    sim.schedule_every(SimDuration::ZERO, TICK, move |sim| {
-        tick(sim);
-        sim.now() < SimTime::ZERO + HORIZON - TICK
-    });
-    sim.run_until(horizon);
-
-    let w = sim.into_state();
     // Whatever is still queued or waiting out a backoff at midnight never
     // made it: count it as lost.
-    let mut w = w;
     let leftover_backlog = w.write_backlog;
     w.record(
         RequestOutcome::GaveUp,
@@ -501,7 +441,7 @@ fn simulate(scenario: &Scenario, chaos: &ChaosSpec, model: DeployModel) -> Resil
             0.0
         }
     };
-    ResilienceRow {
+    let row = ResilienceRow {
         model,
         served_fraction: frac(0),
         degraded_fraction: frac(1),
@@ -511,7 +451,8 @@ fn simulate(scenario: &Scenario, chaos: &ChaosSpec, model: DeployModel) -> Resil
         breaker_trips: w.failover.as_ref().map_or(0, |f| f.breaker().trips()),
         failover_switches: w.failover.as_ref().map_or(0, HybridFailover::switches),
         retry_attempts: w.retry_attempts,
-    }
+    };
+    (row, total)
 }
 
 /// Runs all three deployment models under the scenario's chaos campaign
@@ -531,7 +472,7 @@ pub fn run(scenario: &Scenario) -> Output {
         .iter()
         .map(|&m| {
             let chaos = &chaos;
-            move || simulate(scenario, chaos, m)
+            move || simulate(scenario, chaos, m).0
         })
         .collect();
     let rows = elc_simcore::shard::run_jobs(scenario.shards(), jobs);
@@ -604,6 +545,7 @@ impl Output {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::exam_day;
 
     fn output() -> Output {
         run(&Scenario::university(41))
@@ -689,6 +631,27 @@ mod tests {
         // No storm: the public model has a clean day.
         assert_eq!(out.row(DeployModel::Public).quiz_submits_lost, 0.0);
         assert!(out.row(DeployModel::Private).quiz_submits_lost > 0.0);
+    }
+
+    /// Every request of fresh demand ends the day booked exactly once:
+    /// served, degraded, shed or gave-up, the midnight leftovers included.
+    #[test]
+    fn every_model_conserves_fresh_demand() {
+        for chaos in [
+            ChaosSpec::exam_day_crisis(),
+            ChaosSpec::off(),
+            "disaster@0.5".parse().unwrap(),
+        ] {
+            let scenario = Scenario::university(41).with_chaos(chaos.clone());
+            let offered = exam_day::offered(&scenario, &Clock::day(exam_day_start(&scenario)));
+            for model in DeployModel::ALL {
+                let (_, booked) = simulate(&scenario, &chaos, model);
+                assert!(
+                    ((booked - offered) / offered).abs() < 1e-9,
+                    "{chaos}/{model}: offered {offered}, booked {booked}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -26,9 +26,7 @@
 use elc_analysis::matrix::{Direction, WideMatrix};
 use elc_analysis::metrics::{Cell, MetricSet, MetricTable};
 use elc_analysis::report::Section;
-use elc_cloud::autoscale::{AutoScaler, ScaleDecision};
 use elc_cloud::billing::{PriceSheet, UsageMeter, Usd};
-use elc_cloud::resources::VmSize;
 use elc_deploy::calib;
 use elc_deploy::cost::{private_unit_day_cost, CostInputs};
 use elc_deploy::faas::{faas_tco, FaasDeployment, TEACHING_FRACTIONS};
@@ -41,42 +39,17 @@ use elc_simcore::metrics::Histogram;
 use elc_simcore::rng::SimRng;
 use elc_simcore::time::{SimDuration, SimTime};
 
+use super::exam_day::{
+    exam_day_start, load_latency_s, peak_fleet, share, Clock, ElasticFleet, DAY, EXAM_MIX, UNIT,
+};
 use super::t1;
 use crate::scenario::Scenario;
-
-/// The instance size every VM fleet is built from.
-const UNIT: VmSize = VmSize::Medium;
-
-/// Base service latency of an unloaded VM fleet, seconds.
-const BASE_LATENCY_S: f64 = 0.12;
-
-/// Latency cap when saturated, seconds.
-const MAX_LATENCY_S: f64 = 10.0;
-
-/// Control-loop tick.
-const TICK: SimDuration = SimDuration::from_secs(60);
-
-/// The simulated day.
-const HORIZON: SimDuration = SimDuration::from_hours(24);
 
 /// Share of the private fleet the hybrid can burst into public capacity.
 const BURST_FRACTION: f64 = 0.6;
 
 /// Sandboxes co-located on one crashed host during a cascade.
 const SANDBOXES_PER_HOST: u32 = 25;
-
-/// The exam-day request mix as per-kind fractions (E16's table).
-const EXAM_MIX: [(RequestKind, f64); 9] = [
-    (RequestKind::Login, 0.10),
-    (RequestKind::CoursePage, 0.09),
-    (RequestKind::VideoChunk, 0.02),
-    (RequestKind::QuizFetch, 0.40),
-    (RequestKind::QuizSubmit, 0.35),
-    (RequestKind::Upload, 0.01),
-    (RequestKind::Download, 0.01),
-    (RequestKind::ForumRead, 0.015),
-    (RequestKind::ForumPost, 0.005),
-];
 
 /// One simulated day.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,12 +138,6 @@ pub struct Output {
     pub rows: Vec<DayRow>,
 }
 
-fn frac_of(mix: &[(RequestKind, f64); 9], kind: RequestKind) -> f64 {
-    mix.iter()
-        .find(|(k, _)| *k == kind)
-        .map_or(0.0, |&(_, f)| f)
-}
-
 fn mix_for(day: Day) -> &'static [(RequestKind, f64); 9] {
     match day {
         Day::Diurnal => &TEACHING_FRACTIONS,
@@ -182,8 +149,8 @@ fn mix_for(day: Day) -> &'static [(RequestKind, f64); 9] {
 fn day_start(scenario: &Scenario, day: Day) -> SimTime {
     let cal = scenario.calendar();
     match day {
-        // Day 2 of the exam period, as in E12/E16.
-        Day::Exam | Day::Chaos => cal.exams_start() + SimDuration::from_days(1),
+        // The exam day of E12/E16.
+        Day::Exam | Day::Chaos => exam_day_start(scenario),
         // Step back whole weeks from the exams until an ordinary teaching
         // weekday: same weekday, mid-term load.
         Day::Diurnal => {
@@ -212,7 +179,7 @@ struct Ledger {
 impl Ledger {
     fn lose(&mut self, mix: &[(RequestKind, f64); 9], count: f64) {
         self.gave_up += count;
-        self.quiz_lost += count * frac_of(mix, RequestKind::QuizSubmit);
+        self.quiz_lost += count * share(mix, RequestKind::QuizSubmit);
     }
 
     fn total(&self) -> f64 {
@@ -247,42 +214,40 @@ impl Ledger {
 
 /// Simulates a VM deployment (public or hybrid) over one day as a fluid
 /// M/M/1 fleet with write-priority allocation: writes — `QuizSubmit`
-/// above all — are only shed once reads already are.
+/// above all — are only shed once reads already are. Returns the row and
+/// the day's ledger total (served + shed + gave-up), which the
+/// conservation test checks against the demand offered.
 fn simulate_vm(
     scenario: &Scenario,
     day: Day,
     model: Model,
     timeline: Option<&FaultTimeline>,
-) -> DayRow {
+) -> (DayRow, f64) {
     let workload = scenario.workload();
-    let start = day_start(scenario, day);
+    let clock = Clock::day(day_start(scenario, day));
     let mix = mix_for(day);
     let write_frac: f64 = mix
         .iter()
         .filter(|(k, _)| k.is_write())
         .map(|(_, f)| f)
         .sum();
-    let quiz_frac = frac_of(mix, RequestKind::QuizSubmit);
+    let quiz_frac = share(mix, RequestKind::QuizSubmit);
 
-    let exam_peak = workload.peak_rate();
-    let private_units = ((exam_peak * 1.2 / UNIT.requests_per_sec()).ceil() as u32).max(2);
+    let private_units = peak_fleet(workload.peak_rate());
+    // Rounds up, unlike `FailoverPlan::burst_capacity` (E16), which rounds
+    // down: unifying the two would change E17's chaos-day rows.
     let burst_units = ((f64::from(private_units) * BURST_FRACTION).ceil() as u32).max(1);
-    let rate0 = workload.rate_at(start);
-    let mut public_units = ((rate0 / (UNIT.requests_per_sec() * 0.6)).ceil() as u32).max(2);
-    let mut scaler =
-        (model == Model::Public).then(|| AutoScaler::new(2, 600, 0.6, SimDuration::from_secs(240)));
+    let mut public = ElasticFleet::at_midnight(workload.rate_at(clock.calendar(SimTime::ZERO)));
 
     let mut ledger = Ledger::default();
     let mut warm = Histogram::new();
     let cold = Histogram::new();
     let mut vm_hours = 0.0;
-    let tick_h = TICK.as_secs_f64() / 3_600.0;
+    let tick_h = clock.tick_s() / 3_600.0;
 
-    let ticks = HORIZON.as_nanos() / TICK.as_nanos();
-    for i in 0..ticks {
-        let now = SimTime::ZERO + TICK * i;
-        let rate = workload.rate_at(start + (now - SimTime::ZERO));
-        let demand = rate * TICK.as_secs_f64();
+    for now in clock.ticks() {
+        let rate = workload.rate_at(clock.calendar(now));
+        let demand = rate * clock.tick_s();
 
         let storm = timeline.is_some_and(|t| t.storm_at(now));
         let disaster = timeline.is_some_and(|t| t.disaster_by(now));
@@ -290,22 +255,14 @@ fn simulate_vm(
 
         let cap_rps = match model {
             Model::Public => {
-                if let Some(s) = scaler.as_mut() {
-                    match s.decide(now, public_units, rate, UNIT.requests_per_sec()) {
-                        ScaleDecision::ScaleUp(n) => public_units += n,
-                        ScaleDecision::ScaleDown(n) => {
-                            public_units = public_units.saturating_sub(n).max(1);
-                        }
-                        ScaleDecision::Hold => {}
-                    }
-                }
+                let units = public.follow(now, rate);
                 // Instances bill whether or not the uplink storm lets
                 // learners reach them.
-                vm_hours += f64::from(public_units) * tick_h;
+                vm_hours += f64::from(units) * tick_h;
                 if storm {
                     0.0
                 } else {
-                    f64::from(public_units) * UNIT.requests_per_sec()
+                    f64::from(units) * UNIT.requests_per_sec()
                 }
             }
             Model::Hybrid => {
@@ -331,20 +288,14 @@ fn simulate_vm(
             Model::Faas => unreachable!("FaaS has its own simulator"),
         };
 
-        let cap = cap_rps * TICK.as_secs_f64();
+        let cap = cap_rps * clock.tick_s();
         if cap <= 0.0 {
             ledger.lose(mix, demand);
             continue;
         }
 
         let served = demand.min(cap);
-        let rho = served / cap;
-        let latency = if rho < 0.95 {
-            (BASE_LATENCY_S / (1.0 - rho)).min(MAX_LATENCY_S)
-        } else {
-            MAX_LATENCY_S
-        };
-        warm.record_n(latency, served.round() as u64);
+        warm.record_n(load_latency_s(served / cap), served.round() as u64);
         ledger.served_warm += served;
 
         // Overflow sheds reads first; writes only once reads are gone.
@@ -368,7 +319,7 @@ fn simulate_vm(
         cost += private_unit_day_cost(UNIT) * f64::from(private_units);
     }
 
-    ledger.row(day, model, cost, &warm, &cold)
+    (ledger.row(day, model, cost, &warm, &cold), ledger.total())
 }
 
 /// Simulates the FaaS platform over one day: one [`Invoker`] per request
@@ -382,7 +333,7 @@ fn simulate_faas(
 ) -> DayRow {
     let scaler = FaasScaler::new(deploy.target_util, deploy.burst_limit);
     let workload = scenario.workload();
-    let start = day_start(scenario, day);
+    let clock = Clock::day(day_start(scenario, day));
     let mix = mix_for(day);
 
     // The chaos day replays the exam day's request stream — same RNG
@@ -423,10 +374,9 @@ fn simulate_faas(
     let mut reaped = 0u64;
     let mut last_crashed = 0u32;
 
-    let ticks = HORIZON.as_nanos() / TICK.as_nanos();
-    for i in 0..ticks {
-        let now = SimTime::ZERO + TICK * i;
-        let rate = workload.rate_at(start + (now - SimTime::ZERO));
+    let tick_s = clock.tick_s();
+    for now in clock.ticks() {
+        let rate = workload.rate_at(clock.calendar(now));
         let storm = timeline.is_some_and(|t| t.storm_at(now));
 
         // A host cascade takes co-located sandboxes down with it.
@@ -447,23 +397,30 @@ fn simulate_faas(
         let mut pool_in_use: u32 = invokers.iter().map(Invoker::live).sum();
         for inv in &mut invokers {
             let kind = inv.kind();
-            let kind_rate = rate * frac_of(mix, kind);
+            let kind_rate = rate * share(mix, kind);
             let spec = deploy.profile.get(kind);
             let (demand, grant) = if storm {
                 // The provider is unreachable: fresh demand dies at the
                 // learner's uplink; idle sandboxes age toward the reaper.
-                ledger.gave_up += kind_rate * TICK.as_secs_f64();
+                ledger.gave_up += kind_rate * tick_s;
                 if kind == RequestKind::QuizSubmit {
-                    ledger.quiz_lost += kind_rate * TICK.as_secs_f64();
+                    ledger.quiz_lost += kind_rate * tick_s;
                 }
                 (0, 0)
             } else {
-                let demand = (kind_rate * TICK.as_secs_f64()).round() as u64;
+                let demand = (kind_rate * tick_s).round() as u64;
                 let desired = scaler.desired_containers(kind_rate, spec.service_time());
                 (demand, scaler.grant(desired, inv.live(), pool_in_use))
             };
             let out = inv.tick(
-                now, TICK, demand, grant, spec, &mut rng, &mut warm, &mut cold,
+                now,
+                clock.tick(),
+                demand,
+                grant,
+                spec,
+                &mut rng,
+                &mut warm,
+                &mut cold,
             );
             pool_in_use += out.cold_starts as u32;
             ledger.served_warm += out.served_warm as f64;
@@ -516,7 +473,7 @@ pub fn run_with_deployment(scenario: &Scenario, deploy: &FaasDeployment) -> Outp
         .cloned()
         .unwrap_or_else(ChaosSpec::exam_day_crisis);
     let rng_root = SimRng::seed(scenario.seed()).derive("e17");
-    let timeline = FaultTimeline::generate(&chaos, &rng_root.derive("chaos"), HORIZON);
+    let timeline = FaultTimeline::generate(&chaos, &rng_root.derive("chaos"), DAY);
 
     // Every (day, model) arm draws from its own RNG lineage, so with
     // `scenario.shards() > 1` the arms run as parallel shard jobs;
@@ -527,7 +484,7 @@ pub fn run_with_deployment(scenario: &Scenario, deploy: &FaasDeployment) -> Outp
         for model in Model::ALL {
             jobs.push(move || match model {
                 Model::Faas => simulate_faas(scenario, day, tl, deploy),
-                _ => simulate_vm(scenario, day, model, tl),
+                _ => simulate_vm(scenario, day, model, tl).0,
             });
         }
     }
@@ -711,6 +668,7 @@ impl FaasColumn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::exam_day;
 
     fn output() -> Output {
         run(&Scenario::university(41))
@@ -848,6 +806,32 @@ mod tests {
         // The disaster ends the private site: the hybrid bursts.
         let hybrid = out.row(Day::Chaos, Model::Hybrid);
         assert!(hybrid.cost_per_day > out.row(Day::Exam, Model::Hybrid).cost_per_day);
+    }
+
+    /// Every request offered to a VM arm ends the day served, shed or
+    /// given up — on every day, under every campaign.
+    #[test]
+    fn vm_arms_conserve_offered_demand() {
+        for chaos in [
+            ChaosSpec::exam_day_crisis(),
+            ChaosSpec::off(),
+            "disaster@0.5".parse().unwrap(),
+        ] {
+            let scenario = Scenario::university(41).with_chaos(chaos.clone());
+            let rng_root = SimRng::seed(scenario.seed()).derive("e17");
+            let timeline = FaultTimeline::generate(&chaos, &rng_root.derive("chaos"), DAY);
+            for day in Day::ALL {
+                let offered = exam_day::offered(&scenario, &Clock::day(day_start(&scenario, day)));
+                let tl = (day == Day::Chaos).then_some(&timeline);
+                for model in [Model::Public, Model::Hybrid] {
+                    let (_, booked) = simulate_vm(&scenario, day, model, tl);
+                    assert!(
+                        ((booked - offered) / offered).abs() < 1e-9,
+                        "{chaos}/{day}/{model}: offered {offered}, booked {booked}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -33,6 +33,7 @@ use elc_fluid::{EngineConfig, EngineReport, Fidelity};
 use elc_simcore::rng::SimRng;
 use elc_simcore::time::{SimDuration, SimTime};
 
+use super::exam_day::exam_day_start;
 use crate::scenario::Scenario;
 
 /// Window start within the exam day (16:00).
@@ -66,8 +67,8 @@ pub struct Output {
 
 /// Where the exam-evening window sits on the workload's clock.
 fn window_start(scenario: &Scenario) -> SimTime {
-    // Day 2 of the exam period — the same day E12 surges on.
-    scenario.calendar().exams_start() + SimDuration::from_days(1) + WINDOW_START
+    // The same exam day E12 surges on.
+    exam_day_start(scenario) + WINDOW_START
 }
 
 /// Regions in the federation: one per configured shard.

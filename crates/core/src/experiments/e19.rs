@@ -44,22 +44,23 @@
 use elc_analysis::metrics::{Cell, MetricSet, MetricTable};
 use elc_analysis::report::Section;
 use elc_cloud::billing::Usd;
-use elc_cloud::resources::VmSize;
 use elc_deploy::calib::DR_HOT_DATA_FRACTION;
 use elc_deploy::dr::{DrPosture, ReplicationSpec};
 use elc_dr::{Node, RecoveryOrchestrator};
+use elc_elearn::request::RequestKind;
 use elc_resil::chaos::{ChaosSpec, FaultTimeline};
 use elc_simcore::rng::SimRng;
 use elc_simcore::time::{SimDuration, SimTime};
 
+use super::exam_day::{exam_day_start, peak_fleet, share, Clock, EXAM_MIX};
 use crate::scenario::Scenario;
 
 /// The drill watches the primary's region.
 const PRIMARY_REGION: u32 = 0;
 
-/// Quiz-submit share of the exam-evening mix (the `EXAM_MIX` weight in
-/// E16): the write stream the replication link must not lose.
-const QUIZ_SUBMIT_FRACTION: f64 = 0.35;
+/// Quiz-submit share of the exam-evening mix: the write stream the
+/// replication link must not lose.
+const QUIZ_SUBMIT_FRACTION: f64 = share(&EXAM_MIX, RequestKind::QuizSubmit);
 
 /// Orchestrator control-loop tick.
 const TICK: SimDuration = SimDuration::from_secs(10);
@@ -173,12 +174,12 @@ fn floor_to(t: SimTime, interval: SimDuration) -> SimTime {
 /// Runs one model's posture through the drill.
 fn simulate(scenario: &Scenario, chaos: &ChaosSpec, model: DeployModel) -> DrRow {
     let workload = scenario.workload();
-    let cal = scenario.calendar();
     let posture = model.posture();
 
-    // Day 2 of the exam period, evening block — as in E16, the hours
-    // where a loss hurts most.
-    let evening_start = cal.exams_start() + SimDuration::from_days(1) + EVENING_START;
+    // The exam day's evening block — as in E16, the hours where a loss
+    // hurts most.
+    let evening_start = exam_day_start(scenario) + EVENING_START;
+    let clock = Clock::new(evening_start, TICK, HORIZON);
 
     let rng_root = SimRng::seed(scenario.seed()).derive("e19");
     let timeline = FaultTimeline::generate(chaos, &rng_root.derive("chaos"), HORIZON);
@@ -197,7 +198,7 @@ fn simulate(scenario: &Scenario, chaos: &ChaosSpec, model: DeployModel) -> DrRow
     let protected = if model == DeployModel::Faas {
         0
     } else {
-        ((workload.peak_rate() * 1.2 / VmSize::Medium.requests_per_sec()).ceil() as u32).max(2)
+        peak_fleet(workload.peak_rate())
     };
 
     // Warm the link up from the last nightly boundary: fast-forward to
@@ -227,9 +228,8 @@ fn simulate(scenario: &Scenario, chaos: &ChaosSpec, model: DeployModel) -> DrRow
     let mut detect_at: Option<SimTime> = None;
     let mut restored_at: Option<SimTime> = None;
 
-    let mut now = SimTime::ZERO;
-    while now < SimTime::ZERO + HORIZON {
-        let cal_now = evening_start + (now - SimTime::ZERO);
+    for now in clock.ticks() {
+        let cal_now = clock.calendar(now);
         let write_rate = workload.rate_at(cal_now) * QUIZ_SUBMIT_FRACTION;
         let down = timeline.region_lost_at(PRIMARY_REGION, now) || timeline.disaster_by(now);
 
@@ -285,8 +285,6 @@ fn simulate(scenario: &Scenario, chaos: &ChaosSpec, model: DeployModel) -> DrRow
             link = posture.make_link(peak_write_rate);
             link.advance(cal_now, 0.0);
         }
-
-        now += TICK;
     }
 
     let detect = match (t_fail, detect_at) {

@@ -30,10 +30,12 @@ pub mod e16;
 pub mod e17;
 pub mod e18;
 pub mod e19;
+mod exam_day;
 pub mod registry;
 pub mod t1;
 
-pub use registry::{find, registry, Experiment, ExperimentRun, ExperimentScratch};
+pub use exam_day::load_latency_s;
+pub use registry::{find, registry, Experiment, ExperimentRun};
 
 use elc_analysis::report::Report;
 

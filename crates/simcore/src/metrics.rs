@@ -282,29 +282,6 @@ impl Histogram {
         }
     }
 
-    /// Creates an empty histogram that reuses `buckets` as storage — the
-    /// scratch-reuse constructor for replication loops. The vector is
-    /// cleared and resized to the fixed bucket count; its capacity is
-    /// retained, so round-tripping through [`Histogram::into_buckets`]
-    /// makes back-to-back replications allocation-free.
-    #[must_use]
-    pub fn from_buckets(mut buckets: Vec<u64>) -> Self {
-        buckets.clear();
-        buckets.resize(BUCKET_COUNT, 0);
-        Histogram {
-            buckets,
-            zero_count: 0,
-            summary: Summary::new(),
-        }
-    }
-
-    /// Consumes the histogram, returning its bucket storage for reuse via
-    /// [`Histogram::from_buckets`].
-    #[must_use]
-    pub fn into_buckets(self) -> Vec<u64> {
-        self.buckets
-    }
-
     /// Records one observation.
     ///
     /// # Panics

@@ -12,13 +12,17 @@
 //!
 //! The fluid fast path adds its own series: simulated student-seconds per
 //! wall second on the five-million-student national scenario (only the
-//! fluid solver finishes it inside a bench budget), and the fluid
-//! engine's wall-clock speedup over the exact event engine on the same
-//! E18 station at university scale.
+//! fluid solver finishes it inside a bench budget), and the wall time of
+//! the E18 station at university scale at each fidelity. The two walls
+//! are separate keys, gated separately: a fluid run that falls back to
+//! event integration slows the fluid wall by orders of magnitude, and an
+//! event-path slowdown shows in the event wall. Their ratio, the fluid
+//! engine's speedup over exact events, is archived too.
 //!
 //! Besides printing the usual crit lines, the bench writes
-//! `BENCH_hotpath.json` at the workspace root so CI can archive the
-//! numbers per PR. Set `ELC_BENCH_QUICK=1` for a fast smoke run (CI).
+//! `BENCH_hotpath.json` at the workspace root. CI runs it on the change
+//! and on its merge-base on the same runner and compares the two. Set
+//! `ELC_BENCH_QUICK=1` for a fast smoke run (CI).
 
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -84,9 +88,10 @@ struct Fluid {
     /// Simulated student-seconds per wall second on the national
     /// five-million-student scenario at its default (auto) fidelity.
     student_seconds_per_sec: f64,
-    /// Wall-clock ratio event/fluid on the university-scale E18 station
-    /// — how much the flow solver buys over exact events.
-    speedup_vs_event: f64,
+    /// Wall seconds of one university-scale E18 run at event fidelity.
+    event_wall_s: f64,
+    /// Wall seconds of the same run at fluid fidelity.
+    fluid_wall_s: f64,
 }
 
 /// Times one E18 run and returns wall seconds.
@@ -126,7 +131,8 @@ fn fluid_series() -> Fluid {
         .fold(f64::INFINITY, f64::min);
     Fluid {
         student_seconds_per_sec,
-        speedup_vs_event: event / fluid,
+        event_wall_s: event,
+        fluid_wall_s: fluid,
     }
 }
 
@@ -253,9 +259,15 @@ fn main() {
         fluid.student_seconds_per_sec
     );
     println!(
-        "  fluid speedup vs event (e18):    {:>14.1}",
-        fluid.speedup_vs_event
+        "  e18 event wall (s):              {:>14.4}",
+        fluid.event_wall_s
     );
+    println!(
+        "  e18 fluid wall (s):              {:>14.6}",
+        fluid.fluid_wall_s
+    );
+    let speedup_vs_event = fluid.event_wall_s / fluid.fluid_wall_s;
+    println!("  fluid speedup vs event (e18):    {speedup_vs_event:>14.1}");
 
     let measured = [
         ("events_per_sec", events_per_sec),
@@ -265,7 +277,7 @@ fn main() {
     ];
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"schema\": \"elc-hotpath-v5\",\n  \"bench\": \"a5_hotpath\",\n  \"mode\": \"{}\",\n",
+        "  \"schema\": \"elc-hotpath-v6\",\n  \"bench\": \"a5_hotpath\",\n  \"mode\": \"{}\",\n",
         if quick_mode() { "quick" } else { "full" }
     ));
     for (i, &(key, value)) in measured.iter().enumerate() {
@@ -281,12 +293,11 @@ fn main() {
         fluid.student_seconds_per_sec,
         false,
     );
-    json_field(
-        &mut json,
-        "fluid_speedup_vs_event",
-        fluid.speedup_vs_event,
-        false,
-    );
+    json.push_str(&format!(
+        "  \"e18_event_wall_s\": {:.9},\n  \"e18_fluid_wall_s\": {:.9},\n",
+        fluid.event_wall_s, fluid.fluid_wall_s
+    ));
+    json_field(&mut json, "fluid_speedup_vs_event", speedup_vs_event, false);
     json.push_str(&format!("  \"inline_events\": {inline_events},\n"));
     json.push_str(&format!("  \"spilled_events\": {spilled_events},\n"));
     json.push_str("  \"replications\": ");

@@ -88,21 +88,28 @@ pub fn event_count_estimate(scenario: &Scenario) -> f64 {
     mean * WINDOW.as_secs_f64() * 2.0
 }
 
-/// Simulates one region's station at the given fidelity.
-fn simulate_region(scenario: &Scenario, region: u32, fidelity: Fidelity) -> RegionRow {
+/// The serving station each region runs at the scenario's fidelity: one
+/// region's share of the peak rate at the target utilization, over the
+/// evening window.
+#[must_use]
+pub fn station(scenario: &Scenario) -> EngineConfig {
+    let peak = scenario.workload().peak_rate() / f64::from(regions(scenario));
+    EngineConfig {
+        start: window_start(scenario),
+        horizon: WINDOW,
+        ..EngineConfig::sized_for(peak, TARGET_UTIL, scenario.fidelity())
+    }
+}
+
+/// Simulates one region's station.
+fn simulate_region(scenario: &Scenario, region: u32, cfg: &EngineConfig) -> RegionRow {
     let workload = scenario.workload();
     let share = f64::from(regions(scenario));
-    let start = window_start(scenario);
-    let cfg = EngineConfig {
-        start,
-        horizon: WINDOW,
-        ..EngineConfig::sized_for(workload.peak_rate() / share, TARGET_UTIL, fidelity)
-    };
     let mut rng = SimRng::seed(scenario.seed())
         .derive("e18")
         .derive_u64(u64::from(region));
     let rate_at = move |t: SimTime| workload.rate_at(t) / share;
-    let report = elc_fluid::engine::run(&cfg, &rate_at, &mut rng);
+    let report = elc_fluid::engine::run(cfg, &rate_at, &mut rng);
     RegionRow { region, report }
 }
 
@@ -113,13 +120,15 @@ fn simulate_region(scenario: &Scenario, region: u32, fidelity: Fidelity) -> Regi
 /// any worker count.
 #[must_use]
 pub fn run(scenario: &Scenario) -> Output {
-    let fidelity = scenario.fidelity();
-    let n = regions(scenario);
-    let jobs: Vec<_> = (0..n)
-        .map(|region| move || simulate_region(scenario, region, fidelity))
+    let cfg = &station(scenario);
+    let jobs: Vec<_> = (0..regions(scenario))
+        .map(|region| move || simulate_region(scenario, region, cfg))
         .collect();
     let rows = elc_simcore::shard::run_jobs(scenario.shards(), jobs);
-    Output { fidelity, rows }
+    Output {
+        fidelity: cfg.fidelity,
+        rows,
+    }
 }
 
 impl Output {

@@ -283,8 +283,8 @@ impl WorkloadModel {
     /// `out` (which is cleared first, so callers can reuse one buffer
     /// across slots). Conditioned on the Poisson count, arrival instants
     /// are i.i.d. uniform over the slot; the sorted offsets feed
-    /// `Simulation::schedule_batch` directly, which bulk-inserts them into
-    /// the event arena.
+    /// `Simulation::schedule_batch` directly, which appends them to the
+    /// pending set's sorted-run lane at O(1) each.
     pub fn sample_arrival_offsets(
         &self,
         rng: &mut SimRng,

@@ -24,6 +24,22 @@
 //!   O(log n) with no tombstone `HashSet` and no skip loop on pop. Four-ary
 //!   keeps the heap a level shallower than binary and sifts through
 //!   cache-adjacent children.
+//! * **Sorted-run lane** — [`EventQueue::push_batch`] appends each batch
+//!   event whose time is at or after the lane's last time to a FIFO ring
+//!   of `(time, seq, payload)` instead of the heap. Seqs are issued in
+//!   push order, so the lane is always sorted by `(time, seq)`, and
+//!   [`EventQueue::pop`] merges it with the heap by comparing the lane
+//!   front with the heap top on that same key: the drain order is exactly
+//!   the one an all-heap queue gives. A batch event earlier than the
+//!   lane's last time (an unsorted batch, or one overlapping a lane still
+//!   pending) takes the ordinary heap push. A sorted burst of n arrivals
+//!   therefore costs O(1) per event on both push and pop instead of two
+//!   cache-missing sifts. Lane events get no [`EventId`] and cannot be
+//!   cancelled. A ring popped to empty keeps its head offset, so the next
+//!   batch rewinds it to the start first; each batch then fills the ring
+//!   from the front instead of wrapping through its whole capacity.
+
+use std::collections::VecDeque;
 
 use crate::time::SimTime;
 
@@ -62,7 +78,8 @@ struct Slot<E> {
 }
 
 /// A time-ordered queue of pending events with O(log n) push, pop and
-/// cancellation, backed by a slab of reusable slots.
+/// cancellation, backed by a slab of reusable slots, plus an O(1) lane
+/// for sorted batches.
 ///
 /// # Examples
 ///
@@ -86,6 +103,8 @@ pub struct EventQueue<E> {
     heap: Vec<u32>,
     /// Next FIFO tie-break sequence number.
     next_seq: u64,
+    /// Batch events in `(time, seq)` order, merged with the heap on pop.
+    lane: VecDeque<(SimTime, u64, E)>,
 }
 
 impl<E> EventQueue<E> {
@@ -97,6 +116,7 @@ impl<E> EventQueue<E> {
             free: Vec::new(),
             heap: Vec::new(),
             next_seq: 0,
+            lane: VecDeque::new(),
         }
     }
 
@@ -109,6 +129,7 @@ impl<E> EventQueue<E> {
             free: Vec::new(),
             heap: Vec::with_capacity(capacity),
             next_seq: 0,
+            lane: VecDeque::new(),
         }
     }
 
@@ -150,20 +171,29 @@ impl<E> EventQueue<E> {
     /// Schedules a batch of events in one call.
     ///
     /// Equivalent to pushing each `(time, payload)` in iteration order (so
-    /// FIFO tie-breaking follows the iterator), but reserves heap and slab
-    /// space up front — the entry point bursty arrival models use via
+    /// FIFO tie-breaking follows the iterator). Items at or after the
+    /// lane's last time join the sorted-run lane at O(1) each; any other
+    /// item takes the ordinary heap push. Batch events get no [`EventId`].
+    /// The entry point bursty arrival models use via
     /// `Simulation::schedule_batch`.
     pub fn push_batch<I>(&mut self, items: I)
     where
         I: IntoIterator<Item = (SimTime, E)>,
     {
+        if self.lane.is_empty() {
+            // Rewind the ring: an emptied `VecDeque` keeps its head offset.
+            self.lane.clear();
+        }
         let items = items.into_iter();
-        let (lower, _) = items.size_hint();
-        let growth = lower.saturating_sub(self.free.len());
-        self.slots.reserve(growth);
-        self.heap.reserve(lower);
+        self.lane.reserve(items.size_hint().0);
         for (time, payload) in items {
-            let _ = self.push(time, payload);
+            if self.lane.back().is_none_or(|&(last, ..)| time >= last) {
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                self.lane.push_back((time, seq, payload));
+            } else {
+                let _ = self.push(time, payload);
+            }
         }
     }
 
@@ -202,6 +232,30 @@ impl<E> EventQueue<E> {
     /// Ties fire in scheduling (FIFO) order.
     #[inline(always)]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_lane().or_else(|| self.pop_heap())
+    }
+
+    /// Pops the lane front if it fires before the heap top. With an empty
+    /// lane this is one `is_empty` test.
+    ///
+    /// [`EventQueue::pop`] is `pop_lane` then [`EventQueue::pop_heap`];
+    /// the executive calls the two itself and dispatches each result in
+    /// its own branch, so neither payload is merged through a shared stack
+    /// temporary (which would cost a second copy).
+    #[inline(always)]
+    pub(crate) fn pop_lane(&mut self) -> Option<(SimTime, E)> {
+        if self.lane.is_empty() || !self.lane_leads() {
+            return None;
+        }
+        self.lane
+            .pop_front()
+            .map(|(time, _, payload)| (time, payload))
+    }
+
+    /// Pops the heap top. Only valid as the fallback after
+    /// [`EventQueue::pop_lane`] returned `None`.
+    #[inline(always)]
+    pub(crate) fn pop_heap(&mut self) -> Option<(SimTime, E)> {
         if self.heap.is_empty() {
             None
         } else {
@@ -217,21 +271,37 @@ impl<E> EventQueue<E> {
     /// The timestamp of the earliest pending event, if any.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap
+        let heap = self
+            .heap
             .first()
-            .map(|&slot| self.slots[slot as usize].time)
+            .map(|&slot| self.slots[slot as usize].time);
+        match self.lane.front() {
+            Some(&(time, ..)) => Some(heap.map_or(time, |h| h.min(time))),
+            None => heap,
+        }
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lane.len()
     }
 
     /// True if no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.lane.is_empty()
+    }
+
+    /// True when the lane front fires before the heap top (or the heap is
+    /// empty). The caller guarantees the lane is non-empty.
+    #[inline(always)]
+    fn lane_leads(&self) -> bool {
+        let &(time, seq, _) = self.lane.front().expect("lane is non-empty");
+        self.heap.first().is_none_or(|&top| {
+            let s = &self.slots[top as usize];
+            (time, seq) < (s.time, s.seq)
+        })
     }
 
     /// Detaches the heap entry at `pos`: removes it from the heap, bumps
@@ -543,6 +613,139 @@ mod tests {
             for id in live.iter().map(|&(id, ..)| id).chain(stale) {
                 assert!(!q.cancel(id), "round {round}: id survived drain");
             }
+        }
+    }
+
+    /// Random mixes of sorted batches, unsorted batches, batches that
+    /// overlap a lane still pending, singles, cancels and pops against a
+    /// naive reference: every pop, and the final drain, must come out in
+    /// exact `(time, seq)` order, and `len`/`peek_time` must be right after
+    /// every step.
+    #[test]
+    fn lane_stress_matches_reference() {
+        let mut rng = SimRng::seed(0x1A4E);
+        for round in 0..50 {
+            let mut q = EventQueue::new();
+            // (time_s, tag, id for singles); tags grow with seq, so
+            // `(time, tag)` order is `(time, seq)` order.
+            let mut pending: Vec<(u64, u32, Option<EventId>)> = Vec::new();
+            let mut tag = 0u32;
+            // Times never precede the last pop, as in the executive.
+            let mut floor = 0u64;
+
+            for step in 0..300 {
+                match rng.next_below(7) {
+                    0 => {
+                        let t = floor + rng.next_below(16);
+                        let id = q.push(SimTime::from_secs(t), tag);
+                        pending.push((t, tag, Some(id)));
+                        tag += 1;
+                    }
+                    // Sorted batch; its start is random, so it often
+                    // overlaps a lane that is still pending.
+                    1 | 2 => {
+                        let n = rng.next_below(12);
+                        let mut times: Vec<u64> =
+                            (0..n).map(|_| floor + rng.next_below(16)).collect();
+                        times.sort_unstable();
+                        let batch: Vec<_> = times
+                            .iter()
+                            .map(|&t| {
+                                pending.push((t, tag, None));
+                                tag += 1;
+                                (SimTime::from_secs(t), tag - 1)
+                            })
+                            .collect();
+                        q.push_batch(batch);
+                    }
+                    // Unsorted batch.
+                    3 => {
+                        let n = rng.next_below(12);
+                        let batch: Vec<_> = (0..n)
+                            .map(|_| {
+                                let t = floor + rng.next_below(16);
+                                pending.push((t, tag, None));
+                                tag += 1;
+                                (SimTime::from_secs(t), tag - 1)
+                            })
+                            .collect();
+                        q.push_batch(batch);
+                    }
+                    4 => {
+                        let singles: Vec<usize> = (0..pending.len())
+                            .filter(|&i| pending[i].2.is_some())
+                            .collect();
+                        if !singles.is_empty() {
+                            let at = singles[rng.next_below(singles.len() as u64) as usize];
+                            let (_, _, id) = pending.swap_remove(at);
+                            assert!(q.cancel(id.expect("single")), "round {round}");
+                        }
+                    }
+                    _ => {
+                        let next = pending
+                            .iter()
+                            .enumerate()
+                            .min_by_key(|&(_, &(t, tg, _))| (t, tg))
+                            .map(|(i, _)| i);
+                        let popped = q.pop().map(|(t, tg)| (t.as_nanos() / 1_000_000_000, tg));
+                        let expected = next.map(|i| {
+                            let (t, tg, _) = pending.swap_remove(i);
+                            (t, tg)
+                        });
+                        assert_eq!(popped, expected, "round {round} step {step}: pop");
+                        if let Some((t, _)) = popped {
+                            floor = t;
+                        }
+                    }
+                }
+                assert_eq!(q.len(), pending.len(), "round {round} step {step}: len");
+                assert_eq!(q.is_empty(), pending.is_empty());
+                let earliest = pending.iter().map(|&(t, ..)| t).min();
+                assert_eq!(
+                    q.peek_time(),
+                    earliest.map(SimTime::from_secs),
+                    "round {round} step {step}: peek_time"
+                );
+            }
+
+            pending.sort_by_key(|&(t, tg, _)| (t, tg));
+            let expected: Vec<(u64, u32)> = pending.iter().map(|&(t, tg, _)| (t, tg)).collect();
+            let drained: Vec<(u64, u32)> =
+                std::iter::from_fn(|| q.pop().map(|(t, tg)| (t.as_nanos() / 1_000_000_000, tg)))
+                    .collect();
+            assert_eq!(drained, expected, "round {round}: drain order diverged");
+        }
+    }
+
+    #[test]
+    fn sorted_batches_bypass_the_heap_and_stragglers_take_it() {
+        let mut q = EventQueue::new();
+        let s = SimTime::from_secs;
+        q.push_batch([(s(1), 'a'), (s(3), 'c'), (s(3), 'd')]);
+        assert!(q.heap.is_empty() && q.slots.is_empty());
+        // Overlaps the pending lane: 2 s goes to the heap, 4 s joins the lane.
+        q.push_batch([(s(2), 'b'), (s(4), 'e')]);
+        assert_eq!((q.heap.len(), q.lane.len()), (1, 4));
+        let order: String = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, "abcde");
+    }
+
+    /// An emptied ring is rewound before the next batch, so equal-size
+    /// batches reuse the same ring from its start: the capacity stays
+    /// flat and each batch is one contiguous run.
+    #[test]
+    fn lane_ring_rewinds_and_capacity_stays_flat() {
+        let mut q = EventQueue::new();
+        // A larger first batch leaves spare capacity for the head to drift
+        // into if the ring were not rewound.
+        q.push_batch((0..150u64).map(|i| (SimTime::from_nanos(i), i)));
+        while q.pop().is_some() {}
+        let capacity = q.lane.capacity();
+        for _ in 0..1_000 {
+            q.push_batch((0..100u64).map(|i| (SimTime::from_nanos(i), i)));
+            assert!(q.lane.as_slices().1.is_empty(), "batch wrapped the ring");
+            assert_eq!(q.lane.capacity(), capacity);
+            while q.pop().is_some() {}
         }
     }
 

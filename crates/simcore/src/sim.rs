@@ -243,10 +243,14 @@ impl<S> Simulation<S> {
     ///
     /// The batch entry point for bursty arrival models (e.g.
     /// `elc-elearn`'s workload sampling a whole slot of Poisson arrivals at
-    /// once): the pending-event set reserves space for the entire batch up
-    /// front, and with a `handler` at or under the inline payload threshold
-    /// the per-event clone is allocation-free. Events fire in offset order;
-    /// equal offsets keep the slice's FIFO order.
+    /// once). Sorted offsets cost O(1) per event to schedule and to pop:
+    /// they go to the pending set's sorted-run lane, which reserves room
+    /// for the whole batch up front. Any offset earlier than the lane's
+    /// last pending time falls back to the heap at O(log n). With a
+    /// `handler` at or under the inline payload threshold the per-event
+    /// clone is allocation-free. Events fire in offset order; equal
+    /// offsets keep the slice's FIFO order. Batch events return no
+    /// [`EventId`] and cannot be cancelled.
     pub fn schedule_batch<F>(&mut self, offsets: &[SimDuration], handler: F)
     where
         F: Fn(&mut Simulation<S>) + Clone + Send + 'static,
@@ -337,20 +341,31 @@ impl<S> Simulation<S> {
         // variant out of line: on the untraced path there is then no call
         // site between the pop and the handler dispatch, so the popped
         // `EventFn` never needs to survive an unwind edge and the compiler
-        // moves it slot → stack → call in a single copy.
+        // moves it slot → stack → call in a single copy. The lane and heap
+        // pops dispatch in separate branches for the same reason.
         if elc_trace::enabled(TRACE_TARGET, Level::Debug) {
             return self.step_traced();
         }
-        match self.queue.pop() {
+        if let Some((time, handler)) = self.queue.pop_lane() {
+            self.dispatch(time, handler);
+            return true;
+        }
+        match self.queue.pop_heap() {
             Some((time, handler)) => {
-                debug_assert!(time >= self.now, "event queue returned a past event");
-                self.now = time;
-                self.executed += 1;
-                handler.call(self);
+                self.dispatch(time, handler);
                 true
             }
             None => false,
         }
+    }
+
+    /// Advances the clock to `time` and runs `handler`.
+    #[inline(always)]
+    fn dispatch(&mut self, time: SimTime, handler: EventFn<S>) {
+        debug_assert!(time >= self.now, "event queue returned a past event");
+        self.now = time;
+        self.executed += 1;
+        handler.call(self);
     }
 
     /// [`Simulation::step`] with kernel-event emission; only reached when a
@@ -625,6 +640,25 @@ mod tests {
         assert_eq!(sim.pending(), 3);
         sim.run();
         assert_eq!(*sim.state(), vec![101, 102, 103]);
+    }
+
+    #[test]
+    fn run_until_horizon_cuts_through_a_batch() {
+        let mut sim = Simulation::new(1, Vec::<u64>::new());
+        let offsets = [1, 2, 3, 3, 4, 5].map(SimDuration::from_secs);
+        sim.schedule_batch(&offsets, |s| {
+            let t = s.now().as_nanos() / 1_000_000_000;
+            s.state_mut().push(t);
+        });
+        // A heap event at the horizon fires after the batch's ties there.
+        sim.schedule_at(SimTime::from_secs(3), |s| s.state_mut().push(30));
+        let stats = sim.run_until(SimTime::from_secs(3));
+        assert_eq!(*sim.state(), vec![1, 2, 3, 3, 30]);
+        assert_eq!((stats.executed, stats.pending), (5, 2));
+        assert_eq!(sim.pending(), 2);
+        assert_eq!(stats.end_time, SimTime::from_secs(3));
+        sim.run();
+        assert_eq!(*sim.state(), vec![1, 2, 3, 3, 30, 4, 5]);
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! A counting `#[global_allocator]` wraps the system allocator; once the
 //! simulation has warmed up (slab arena, heap vector and free list at
 //! capacity) the gate is flipped on and a schedule/execute/cancel loop —
-//! including batch scheduling from a reused offsets buffer — must perform
-//! **zero** heap allocations for the default (inline) model event mix.
+//! including batch scheduling from reused offsets buffers into the sorted
+//! lane, a second batch while the first is still pending and an
+//! out-of-order offset that falls back to the heap — must perform **zero**
+//! heap allocations for the default (inline) model event mix.
 //!
 //! This file holds exactly one `#[test]` so no sibling test can allocate
 //! concurrently while the gate is armed.
@@ -77,10 +79,14 @@ fn schedule_captured(sim: &mut Simulation<u64>, delay: SimDuration) -> elc_simco
     })
 }
 
-/// One steady-state round: schedule a burst (batch + singles), cancel one,
-/// then drain. Identical during warm-up and measurement.
-fn round(sim: &mut Simulation<u64>, offsets: &[SimDuration]) {
+/// One steady-state round: schedule a burst (two batches + singles),
+/// cancel one, then drain. The second batch lands while the first is still
+/// pending: its sorted head extends the lane and its last, out-of-order
+/// offset takes the heap fallback. Identical during warm-up and
+/// measurement.
+fn round(sim: &mut Simulation<u64>, offsets: &[SimDuration], overlap: &[SimDuration]) {
     sim.schedule_batch(offsets, tick);
+    sim.schedule_batch(overlap, tick);
     let victim = schedule_captured(sim, SimDuration::from_millis(7));
     schedule_captured(sim, SimDuration::from_millis(9));
     sim.schedule_in(SimDuration::from_millis(11), tick);
@@ -92,25 +98,26 @@ fn round(sim: &mut Simulation<u64>, offsets: &[SimDuration]) {
 fn steady_state_event_loop_allocates_nothing() {
     let mut sim = Simulation::new(42, 0u64);
     let offsets: Vec<SimDuration> = (0..32).map(SimDuration::from_millis).collect();
+    let overlap: Vec<SimDuration> = (32..48).chain([5]).map(SimDuration::from_millis).collect();
 
     // Warm up: grow the slab arena, heap vector and free list to the
     // working-set size the measured loop needs.
     for _ in 0..16 {
-        round(&mut sim, &offsets);
+        round(&mut sim, &offsets, &overlap);
     }
 
     // Measure: the same loop must now be allocation-free.
     let executed_before = sim.executed();
     ARMED.with(|a| a.set(true));
     for _ in 0..256 {
-        round(&mut sim, &offsets);
+        round(&mut sim, &offsets, &overlap);
     }
     ARMED.with(|a| a.set(false));
 
     let events = sim.executed() - executed_before;
     let allocs = ALLOCS.load(Ordering::SeqCst);
     assert!(
-        events >= 256 * 34,
+        events >= 256 * 51,
         "loop did not execute the expected events"
     );
     assert_eq!(

@@ -1,0 +1,68 @@
+//! E18's request ledger: every region's station must account for every
+//! request it was offered.
+//!
+//! offered = served + shed + in_system, where in_system (requests still
+//! waiting or in service when the window closes) lies between zero and
+//! the station's servers plus its waiting room. A region run entirely at
+//! event level counts whole requests, so all four terms are integers.
+//! The check runs at event and auto fidelity with one and two regions
+//! (`--shards`). The event runs push each tick's sorted arrival batch
+//! through `Simulation::schedule_batch`, so this also exercises the
+//! kernel's sorted-run lane through the real engine.
+
+use elearn_cloud::core::experiments::e18;
+use elearn_cloud::core::Scenario;
+use elearn_cloud::fluid::{EngineReport, Fidelity};
+
+/// Round-off allowed on fluid-integrated totals (requests).
+const FLUID_TOL: f64 = 1e-6;
+
+fn assert_ledger(label: &str, r: &EngineReport, room: f64) {
+    let in_system = r.offered - r.served - r.shed;
+    if r.fluid_ticks == 0 {
+        for (name, v) in [
+            ("offered", r.offered),
+            ("served", r.served),
+            ("shed", r.shed),
+        ] {
+            assert!(
+                v >= 0.0 && v.fract() == 0.0,
+                "{label}: {name} = {v} is not a whole count"
+            );
+        }
+        assert!(
+            (0.0..=room).contains(&in_system),
+            "{label}: in_system = {in_system} outside [0, {room}]"
+        );
+    } else {
+        let tol = FLUID_TOL * r.offered.max(1.0);
+        assert!(
+            in_system >= -tol && in_system <= room + tol,
+            "{label}: in_system = {in_system} outside [0, {room}]"
+        );
+    }
+}
+
+#[test]
+fn every_e18_row_balances_at_event_and_auto_fidelity() {
+    // The smallest preset: its event-fidelity evening (about 7.7M events)
+    // takes about a second at test optimisation.
+    let base = Scenario::small_college(42);
+    for fidelity in [Fidelity::Event, Fidelity::Auto] {
+        for shards in [1, 2] {
+            let scenario = base.with_fidelity(fidelity).with_shards(shards);
+            let station = e18::station(&scenario);
+            let room = (station.servers + station.queue_limit) as f64;
+            let out = e18::run(&scenario);
+            assert_eq!(out.rows.len(), shards as usize);
+            for row in &out.rows {
+                let label = format!("{fidelity} shards={shards} region-{}", row.region);
+                assert!(row.report.offered > 0.0, "{label}: nothing offered");
+                if fidelity == Fidelity::Event {
+                    assert!(row.report.events_executed > 0, "{label}: no events ran");
+                }
+                assert_ledger(&label, &row.report, room);
+            }
+        }
+    }
+}

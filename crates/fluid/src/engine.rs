@@ -6,9 +6,13 @@
 //! servers with deterministic service time and a bounded waiting room —
 //! is simulated three ways:
 //!
-//! * **event**: every request is an individual arrival event through
-//!   [`Simulation`] (Poisson arrivals per tick, uniform jitter, FIFO
-//!   queue, completion events). Exact, and linear in request count.
+//! * **event**: every request is an individual arrival (Poisson
+//!   arrivals per tick, uniform jitter, FIFO waiting room) with its own
+//!   completion. The service time is constant, so requests finish in the
+//!   order they start and the station keeps its in-service requests as
+//!   a FIFO of completion times instead of running an event kernel; it
+//!   executes events in the order `elc_simcore::Simulation` would (see
+//!   `station.rs`). Exact, and linear in request count.
 //! * **fluid**: a [`FluidQueue`] integrates arrival/service flows per
 //!   tick; cost is per tick, independent of request volume.
 //! * **auto**: a [`FidelityController`] keeps the station fluid in
@@ -18,21 +22,17 @@
 //!   the crisis passes.
 //!
 //! Determinism: all randomness flows from the caller's [`SimRng`]
-//! through fixed `derive` labels (`arrivals`, `materialize`,
-//! `segment`/index), so a seed fully determines the run at any
-//! fidelity.
+//! through fixed `derive` labels (`arrivals`, `materialize`), so a seed
+//! fully determines the run at any fidelity.
 
-use std::collections::VecDeque;
-
-use elc_simcore::dist::{Distribution, Poisson};
 use elc_simcore::metrics::Histogram;
 use elc_simcore::rng::SimRng;
 use elc_simcore::time::{SimDuration, SimTime};
-use elc_simcore::Simulation;
 
 use crate::control::{FidelityController, Mode, Signals};
 use crate::fidelity::Fidelity;
 use crate::queue::FluidQueue;
+use crate::station::{Arrivals, Station};
 
 /// Station and solver parameters for one engine run.
 #[derive(Debug, Clone, PartialEq)]
@@ -145,92 +145,6 @@ impl EngineReport {
     }
 }
 
-/// The event-level station: `servers` identical servers over a bounded
-/// FIFO waiting room, deterministic service time.
-struct Station {
-    servers: u64,
-    busy: u64,
-    service: SimDuration,
-    queue: VecDeque<SimTime>,
-    queue_limit: usize,
-    offered: u64,
-    served: u64,
-    shed: u64,
-    peak_queue: usize,
-    latency: Histogram,
-}
-
-impl Station {
-    fn new(cfg: &EngineConfig) -> Self {
-        Station {
-            servers: cfg.servers,
-            busy: 0,
-            service: cfg.service_time,
-            queue: VecDeque::new(),
-            queue_limit: cfg.queue_limit as usize,
-            offered: 0,
-            served: 0,
-            shed: 0,
-            peak_queue: 0,
-            latency: Histogram::new(),
-        }
-    }
-}
-
-fn arrive(sim: &mut Simulation<Station>) {
-    let now = sim.now();
-    let st = sim.state_mut();
-    st.offered += 1;
-    if st.busy < st.servers {
-        st.busy += 1;
-        let service = st.service;
-        st.latency.record(service.as_secs_f64());
-        sim.schedule_in(service, complete);
-    } else if st.queue.len() < st.queue_limit {
-        st.queue.push_back(now);
-        st.peak_queue = st.peak_queue.max(st.queue.len());
-    } else {
-        st.shed += 1;
-    }
-}
-
-fn complete(sim: &mut Simulation<Station>) {
-    let now = sim.now();
-    let st = sim.state_mut();
-    st.served += 1;
-    if let Some(arrived) = st.queue.pop_front() {
-        let service = st.service;
-        let wait = now.saturating_since(arrived);
-        st.latency.record((wait + service).as_secs_f64());
-        sim.schedule_in(service, complete);
-    } else {
-        st.busy -= 1;
-    }
-}
-
-/// Schedules one tick's Poisson arrivals (uniformly jittered over the
-/// slot) and runs the station to the end of the tick.
-fn event_tick(
-    sim: &mut Simulation<Station>,
-    rng: &mut SimRng,
-    lambda: f64,
-    tick: SimDuration,
-    offsets: &mut Vec<SimDuration>,
-) {
-    let n = Poisson::new(lambda.max(0.0))
-        .expect("rate is finite and non-negative")
-        .sample(rng);
-    offsets.clear();
-    offsets.reserve(usize::try_from(n).unwrap_or(usize::MAX));
-    let span = tick.as_secs_f64();
-    for _ in 0..n {
-        offsets.push(SimDuration::from_secs_f64(rng.range_f64(0.0, span)));
-    }
-    offsets.sort_unstable();
-    sim.schedule_batch(offsets, arrive);
-    sim.run_for(tick);
-}
-
 /// Runs the station at the configured fidelity over the horizon.
 ///
 /// `rate_at` is the offered-rate curve (requests/second) on the
@@ -257,8 +171,8 @@ fn run_event(
     rng: &mut SimRng,
 ) -> EngineReport {
     let mut arr_rng = rng.derive("arrivals");
-    let mut sim = Simulation::new(rng.derive("engine-event").next_u64(), Station::new(cfg));
-    let mut offsets = Vec::new();
+    let mut st = Station::new(cfg);
+    let mut arrivals = Arrivals::default();
     let tick_s = cfg.tick.as_secs_f64();
     let capacity = cfg.capacity_rps();
     let mut util_sum = 0.0;
@@ -267,25 +181,20 @@ fn run_event(
         let t = cfg.start + SimDuration::from_nanos(cfg.tick.as_nanos() * i);
         let rate = rate_at(t);
         util_sum += rate / capacity;
-        event_tick(
-            &mut sim,
-            &mut arr_rng,
-            rate * tick_s,
+        st.run_tick(
+            arrivals.sample(&mut arr_rng, rate * tick_s, cfg.tick),
             cfg.tick,
-            &mut offsets,
         );
     }
-    let events = sim.executed();
-    let st = sim.into_state();
     EngineReport {
         fidelity: Fidelity::Event,
         offered: st.offered as f64,
         served: st.served as f64,
         shed: st.shed as f64,
-        p95_latency_s: st.latency.p95(),
+        p95_latency_s: st.latency().p95(),
         mean_utilization: util_sum / ticks as f64,
         peak_backlog: st.peak_queue as f64,
-        events_executed: events,
+        events_executed: st.events,
         fluid_ticks: 0,
         event_ticks: ticks,
         switches: 0,
@@ -349,7 +258,6 @@ fn run_auto(
     let mut controller = FidelityController::standard();
     let mut arr_rng = rng.derive("arrivals");
     let mut mat_rng = rng.derive("materialize");
-    let segment_seeds = rng.derive("segment");
     let mut latency = Histogram::new();
     let mut util_sum = 0.0;
     let mut peak_backlog = 0.0f64;
@@ -360,9 +268,8 @@ fn run_auto(
     let mut fluid_ticks = 0u64;
     let mut event_ticks = 0u64;
     let mut materialized = 0u64;
-    let mut segment: Option<Simulation<Station>> = None;
-    let mut segments_started = 0u64;
-    let mut offsets = Vec::new();
+    let mut segment: Option<Station> = None;
+    let mut arrivals = Arrivals::default();
     let service_s = cfg.service_time.as_secs_f64();
     let tick_s = cfg.tick.as_secs_f64();
     let ticks = cfg.ticks();
@@ -386,16 +293,15 @@ fn run_auto(
         let mode = controller.decide(t.as_nanos(), &signals);
         match mode {
             Mode::Fluid => {
-                if let Some(sim) = segment.take() {
+                if let Some(mut st) = segment.take() {
                     // Event→fluid: fold the segment's tallies in and
                     // absorb waiting + in-flight requests back as backlog.
-                    events_executed += sim.executed();
-                    let st = sim.into_state();
+                    events_executed += st.events;
                     offered += st.offered as f64;
                     served += st.served as f64;
                     shed += st.shed as f64;
-                    latency.merge(&st.latency);
-                    fq.absorb(&[st.queue.len() as u64 + st.busy]);
+                    latency.merge(st.latency());
+                    fq.absorb(&[st.in_system()]);
                 }
                 let flow = fq.step(cfg.tick, &[rate], cfg.substeps);
                 peak_backlog = peak_backlog.max(flow.backlog);
@@ -412,41 +318,26 @@ fn run_auto(
                     // Their fluid inflow is already in `fq.offered_total`,
                     // so the station's `offered` counts fresh arrivals only.
                     let counts = fq.materialize(&mut mat_rng, t.as_nanos());
-                    let mut st = Station::new(cfg);
-                    for _ in 0..counts[0] {
-                        st.queue.push_back(SimTime::ZERO);
-                    }
-                    st.peak_queue = st.queue.len();
                     materialized += counts[0];
-                    segments_started += 1;
-                    let mut seed_rng = segment_seeds.derive_u64(segments_started);
-                    let mut sim = Simulation::new(seed_rng.next_u64(), st);
-                    // Kick the pre-seeded queue onto the servers.
-                    let starters = cfg.servers.min(sim.state().queue.len() as u64);
-                    let service = cfg.service_time;
-                    for _ in 0..starters {
-                        sim.state_mut().queue.pop_front();
-                        sim.state_mut().busy += 1;
-                        sim.state_mut().latency.record(service.as_secs_f64());
-                        sim.schedule_in(service, complete);
-                    }
-                    segment = Some(sim);
+                    segment = Some(Station::with_backlog(cfg, counts[0]));
                 }
-                let sim = segment.as_mut().expect("segment just ensured");
-                event_tick(sim, &mut arr_rng, rate * tick_s, cfg.tick, &mut offsets);
-                peak_backlog = peak_backlog.max(sim.state().peak_queue as f64);
+                let st = segment.as_mut().expect("segment just ensured");
+                st.run_tick(
+                    arrivals.sample(&mut arr_rng, rate * tick_s, cfg.tick),
+                    cfg.tick,
+                );
+                peak_backlog = peak_backlog.max(st.peak_queue as f64);
                 event_ticks += 1;
             }
         }
     }
-    if let Some(sim) = segment.take() {
-        events_executed += sim.executed();
-        let st = sim.into_state();
+    if let Some(mut st) = segment.take() {
+        events_executed += st.events;
         offered += st.offered as f64;
         served += st.served as f64;
         shed += st.shed as f64;
-        latency.merge(&st.latency);
-        fq.absorb(&[st.queue.len() as u64 + st.busy]);
+        latency.merge(st.latency());
+        fq.absorb(&[st.in_system()]);
     }
     EngineReport {
         fidelity: Fidelity::Auto,
@@ -513,6 +404,10 @@ mod tests {
         assert!(auto.switches > 0, "saturation must force event fidelity");
         assert!(auto.event_ticks > 0 && auto.fluid_ticks > 0);
         assert!(auto.events_executed > 0);
+        assert_eq!(
+            auto,
+            saturating_day_pin(31102617.71875, 30803126.71875, 299461.0, 44524141)
+        );
         let event_cfg = EngineConfig {
             fidelity: Fidelity::Event,
             ..config.clone()
@@ -546,6 +441,122 @@ mod tests {
         let ra = run(&config, &day_rate(peak), &mut a);
         let rb = run(&config, &day_rate(peak), &mut b);
         assert_eq!(ra, rb);
+        assert_eq!(
+            ra,
+            saturating_day_pin(31097143.71875, 30800725.71875, 296377.0, 44516266)
+        );
+    }
+
+    /// The auto report of a 900 rps day on a station sized for 600 rps,
+    /// as the kernel-driven station produced it: one switch to event
+    /// fidelity for the evening, no backlog materialized.
+    fn saturating_day_pin(offered: f64, served: f64, shed: f64, events: u64) -> EngineReport {
+        EngineReport {
+            fidelity: Fidelity::Auto,
+            offered,
+            served,
+            shed,
+            p95_latency_s: 29.9866821457648,
+            mean_utilization: 0.4185699857174582,
+            peak_backlog: 25800.0,
+            events_executed: events,
+            fluid_ticks: 992,
+            event_ticks: 448,
+            switches: 1,
+            materialized: 0,
+        }
+    }
+
+    #[test]
+    fn auto_segments_seeded_with_a_backlog_are_pinned() {
+        // 10 ms ticks alternating six ticks at 1.5× capacity with ten at
+        // 0.3×: every low phase returns the station to fluid with
+        // requests still in it, and the next surge materializes them.
+        let config = EngineConfig {
+            tick: SimDuration::from_millis(10),
+            horizon: SimDuration::from_secs(60),
+            ..EngineConfig::sized_for(200.0, 1.0, Fidelity::Auto)
+        };
+        let capacity = config.capacity_rps();
+        let tick = config.tick.as_nanos();
+        let rate = move |t: SimTime| {
+            if (t.as_nanos() / tick) % 16 < 6 {
+                1.5 * capacity
+            } else {
+                0.3 * capacity
+            }
+        };
+        let pinned = [
+            (
+                3,
+                9107.999999999909,
+                9099.400000000027,
+                0.10741370613265487,
+                23.0,
+                14461,
+                1544,
+            ),
+            (
+                5,
+                9055.999999999909,
+                9038.000000000025,
+                0.1121693171876942,
+                25.0,
+                14378,
+                1606,
+            ),
+        ];
+        for (seed, offered, served, p95, peak, events, materialized) in pinned {
+            let mut rng = SimRng::seed(seed).derive("engine-test");
+            let report = run(&config, &rate, &mut rng);
+            let expect = EngineReport {
+                fidelity: Fidelity::Auto,
+                offered,
+                served,
+                shed: 0.0,
+                p95_latency_s: p95,
+                mean_utilization: 0.7500000000000531,
+                peak_backlog: peak,
+                events_executed: events,
+                fluid_ticks: 1500,
+                event_ticks: 4500,
+                switches: 751,
+                materialized,
+            };
+            assert_eq!(report, expect, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn more_servers_never_shed_more() {
+        // The same arrivals (sampling never reads `servers`) and waiting
+        // room, served by c, c + 1 and 2c servers through an hour at up
+        // to 1.5× the c-server capacity.
+        let base = EngineConfig {
+            start: SimTime::from_secs(19 * 3_600 + 1_800),
+            horizon: SimDuration::from_hours(1),
+            ..EngineConfig::sized_for(100.0, 0.6, Fidelity::Event)
+        };
+        let c = base.servers;
+        let peak = 1.5 * base.capacity_rps();
+        for seed in [1, 2, 3] {
+            let shed: Vec<f64> = [c, c + 1, 2 * c]
+                .iter()
+                .map(|&servers| {
+                    let cfg = EngineConfig {
+                        servers,
+                        ..base.clone()
+                    };
+                    let mut rng = SimRng::seed(seed).derive("engine-test");
+                    run(&cfg, &day_rate(peak), &mut rng).shed
+                })
+                .collect();
+            assert!(shed[0] > 0.0, "seed {seed}: c servers must shed");
+            assert!(
+                shed.windows(2).all(|w| w[0] >= w[1]),
+                "seed {seed}: shed by c, c+1, 2c servers = {shed:?}"
+            );
+        }
     }
 
     #[test]

@@ -34,6 +34,9 @@ pub mod control;
 pub mod engine;
 pub mod fidelity;
 pub mod queue;
+mod station;
+#[cfg(test)]
+mod station_oracle;
 
 pub use control::{FidelityController, Mode, Signals, SwitchReason};
 pub use engine::{EngineConfig, EngineReport};

@@ -6,13 +6,14 @@
 //! the station's servers plus its waiting room. A region run entirely at
 //! event level counts whole requests, so all four terms are integers.
 //! The check runs at event and auto fidelity with one and two regions
-//! (`--shards`). The event runs push each tick's sorted arrival batch
-//! through `Simulation::schedule_batch`, so this also exercises the
-//! kernel's sorted-run lane through the real engine.
+//! (`--shards`), and once more at auto fidelity with the rate curve
+//! doubled, where the evening overloads the station and the report is
+//! pinned exactly.
 
 use elearn_cloud::core::experiments::e18;
 use elearn_cloud::core::Scenario;
-use elearn_cloud::fluid::{EngineReport, Fidelity};
+use elearn_cloud::fluid::{engine, EngineReport, Fidelity};
+use elearn_cloud::simcore::rng::SimRng;
 
 /// Round-off allowed on fluid-integrated totals (requests).
 const FLUID_TOL: f64 = 1e-6;
@@ -65,4 +66,38 @@ fn every_e18_row_balances_at_event_and_auto_fidelity() {
             }
         }
     }
+}
+
+#[test]
+fn e18_auto_at_twice_the_rate_curve_is_pinned() {
+    // Region 0 of a one-region small-college evening, E18's station and
+    // RNG lineage, twice E18's demand: auto fidelity switches to event
+    // level for the last five hours and sheds.
+    let scenario = Scenario::small_college(42)
+        .with_fidelity(Fidelity::Auto)
+        .with_shards(1);
+    let station = e18::station(&scenario);
+    let workload = scenario.workload();
+    let mut rng = SimRng::seed(42).derive("e18").derive_u64(0);
+    let report = engine::run(&station, &|t| 2.0 * workload.rate_at(t), &mut rng);
+    let pinned = EngineReport {
+        fidelity: Fidelity::Auto,
+        offered: 7719276.0,
+        served: 7384413.0,
+        shed: 334834.0,
+        p95_latency_s: 29.9866821457648,
+        mean_utilization: 0.9925925925925919,
+        peak_backlog: 10800.0,
+        events_executed: 12914889,
+        fluid_ticks: 60,
+        event_ticks: 300,
+        switches: 1,
+        materialized: 0,
+    };
+    assert_eq!(report, pinned);
+    assert_ledger(
+        "auto ×2",
+        &report,
+        (station.servers + station.queue_limit) as f64,
+    );
 }

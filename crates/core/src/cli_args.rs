@@ -573,11 +573,6 @@ mod tests {
                 t_ns: i * 60_000_000_000,
                 rate_bits: (40.0 + i as f64).to_bits(),
             });
-            stream.slots.push(elc_wltrace::SlotSample {
-                t_ns: i * 60_000_000_000,
-                slot_ns: 60_000_000_000,
-                count: 10 + i,
-            });
         }
         trace.streams.push(stream);
         trace

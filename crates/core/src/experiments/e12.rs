@@ -37,6 +37,7 @@ use elc_cloud::placement::FirstFit;
 use elc_cloud::resources::Resources;
 use elc_cloud::vm::VmState;
 use elc_elearn::source::WorkloadSource;
+use elc_simcore::dist::{Distribution, Poisson};
 use elc_simcore::metrics::Histogram;
 use elc_simcore::rng::SimRng;
 use elc_simcore::series::TimeWeighted;
@@ -124,6 +125,34 @@ pub struct SurgeRow {
     pub peak_vms: f64,
 }
 
+/// The day's demand ledger. At fluid fidelity the offered flow splits into
+/// served and rejected to rounding. At event fidelity the offered requests
+/// are exactly the Poisson draws, and each tick truncates its rejected
+/// count to a whole request, so less than one request per tick is neither
+/// served nor rejected.
+#[derive(Debug, Clone, Copy, Default)]
+struct Ledger {
+    ticks: u64,
+    /// Σ per-tick Poisson draws (event fidelity only).
+    draws: u64,
+    offered: f64,
+    served: f64,
+    rejected: f64,
+}
+
+impl Ledger {
+    fn balances(&self, fluid: bool) -> bool {
+        let gap = self.offered - self.served - self.rejected;
+        // Summing fractional `served` rounds; allow that much below zero.
+        let rounding = 1e-9 * self.offered.max(1.0);
+        if fluid {
+            gap.abs() <= rounding
+        } else {
+            self.offered == self.draws as f64 && gap >= -rounding && gap < self.ticks as f64
+        }
+    }
+}
+
 /// E12 output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Output {
@@ -140,11 +169,10 @@ struct World {
     /// Fluid fidelity: demand is the deterministic mean flow
     /// `rate × tick` instead of a Poisson draw per tick.
     fluid: bool,
-    /// Requests offered / rejected. Event fidelity only ever adds exact
-    /// integers (so the totals are bit-identical to the old `u64`
-    /// counters); fluid fidelity accumulates fractional flow.
-    offered: f64,
-    rejected: f64,
+    /// Requests offered / served / rejected. Event fidelity offers and
+    /// rejects only whole requests; fluid fidelity accumulates fractional
+    /// flow.
+    ledger: Ledger,
     latency: Histogram,
     fleet: TimeWeighted,
 }
@@ -152,21 +180,27 @@ struct World {
 impl World {
     fn tick(&mut self, now: SimTime) {
         let cal_now = self.clock.calendar(now);
-        // Demand comes through the WorkloadSource trait: generator-backed
-        // sources draw the same Poisson the inline code used to, replayed
-        // traces return their recorded counts. At fluid fidelity the draw
-        // is replaced by the mean flow — the tick-level mean-field limit of
-        // the same arrival process.
+        // Demand is the source's rate curve: a generator and a replayed
+        // trace answer with the same bits, and the tick's Poisson draw
+        // comes from this strategy's own seed lineage. At fluid fidelity
+        // the draw is replaced by the mean flow — the tick-level
+        // mean-field limit of the same arrival process.
+        let flow = self.workload.rate_at(cal_now) * self.clock.tick_s();
         let arrivals = if self.fluid {
-            self.workload.rate_at(cal_now) * self.clock.tick_s()
+            flow
         } else {
-            self.workload
-                .sample_arrivals(&mut self.rng, cal_now, self.clock.tick()) as f64
+            let n = Poisson::new(flow.max(0.0))
+                .expect("rate is finite and non-negative")
+                .sample(&mut self.rng);
+            self.ledger.draws += n;
+            n as f64
         };
         let capacity = self.dc.serving_capacity_rps(now) * self.clock.tick_s();
         let served = arrivals.min(capacity);
-        self.offered += arrivals;
-        self.rejected += if self.fluid {
+        self.ledger.ticks += 1;
+        self.ledger.offered += arrivals;
+        self.ledger.served += served;
+        self.ledger.rejected += if self.fluid {
             arrivals - served
         } else {
             // Keep the event path's exact truncation semantics.
@@ -230,7 +264,7 @@ impl World {
 }
 
 /// Simulates one strategy over 24 hours of the exam day.
-fn simulate(scenario: &Scenario, strategy: Strategy) -> SurgeRow {
+fn simulate(scenario: &Scenario, strategy: Strategy) -> (SurgeRow, Ledger) {
     let workload = scenario.workload();
     let clock = Clock::day(exam_day_start(scenario));
 
@@ -270,8 +304,7 @@ fn simulate(scenario: &Scenario, strategy: Strategy) -> SurgeRow {
             .derive("e12")
             .derive(&strategy.to_string()),
         fluid: scenario.fidelity().uses_fluid(),
-        offered: 0.0,
-        rejected: 0.0,
+        ledger: Ledger::default(),
         latency: Histogram::new(),
     };
 
@@ -298,17 +331,20 @@ fn simulate(scenario: &Scenario, strategy: Strategy) -> SurgeRow {
         }
     }
 
-    SurgeRow {
+    let ledger = w.ledger;
+    debug_assert!(ledger.balances(w.fluid), "{strategy}: {ledger:?}");
+    let row = SurgeRow {
         strategy,
-        rejected_fraction: if w.offered == 0.0 {
+        rejected_fraction: if ledger.offered == 0.0 {
             0.0
         } else {
-            w.rejected / w.offered
+            ledger.rejected / ledger.offered
         },
         p95_latency_s: w.latency.p95(),
         vm_hours: w.fleet.integral(horizon) / 3_600.0,
         peak_vms: w.fleet.max(),
-    }
+    };
+    (row, ledger)
 }
 
 /// Runs all five strategies.
@@ -317,7 +353,7 @@ pub fn run(scenario: &Scenario) -> Output {
     Output {
         rows: Strategy::ALL
             .iter()
-            .map(|&s| simulate(scenario, s))
+            .map(|&s| simulate(scenario, s).0)
             .collect(),
     }
 }
@@ -511,6 +547,47 @@ mod tests {
             // The autoscaler is rate-driven, so the fleet is identical.
             assert!((e.vm_hours - f.vm_hours).abs() < 1e-9, "{s}: fleet moved");
             assert!((e.peak_vms - f.peak_vms).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn every_strategy_balances_its_demand_ledger() {
+        use elc_fluid::Fidelity;
+        use elc_wltrace::TraceRecorder;
+        let generator = Scenario::small_college(42);
+        let recorder = TraceRecorder::new();
+        let mut recording = generator.clone();
+        recording.attach_recorder(recorder.clone());
+        let _ = run(&recording);
+        let trace = recorder.finish().expect("E12 queried the rate curve");
+        let replay = generator.with_workload_trace(trace.into_shared()).unwrap();
+
+        // The offered flow, recomputed from the curve outside the tick loop.
+        let clock = Clock::day(exam_day_start(&generator));
+        let curve = generator.workload();
+        let times: Vec<SimTime> = clock.ticks().chain([clock.end()]).collect();
+        let flow: f64 = times
+            .iter()
+            .map(|&t| curve.rate_at(clock.calendar(t)) * clock.tick_s())
+            .sum();
+        for scenario in [&generator, &replay] {
+            for fidelity in [Fidelity::Event, Fidelity::Fluid] {
+                let scenario = scenario.with_fidelity(fidelity);
+                for strategy in Strategy::ALL {
+                    let (_, l) = simulate(&scenario, strategy);
+                    let fluid = fidelity == Fidelity::Fluid;
+                    assert!(l.balances(fluid), "{fidelity:?} {strategy}: {l:?}");
+                    assert_eq!(l.ticks, times.len() as u64);
+                    if fluid {
+                        let split = l.served + l.rejected;
+                        assert!((flow - split).abs() <= 1e-9 * flow, "{strategy}");
+                    } else {
+                        // The draws track the curve: within 5σ of its mass.
+                        let draws = l.draws as f64;
+                        assert!((draws - flow).abs() < 5.0 * flow.sqrt(), "{strategy}");
+                    }
+                }
+            }
         }
     }
 

@@ -781,11 +781,6 @@ mod tests {
                 t_ns: i * 60_000_000_000,
                 rate_bits: (40.0 + i as f64).to_bits(),
             });
-            stream.slots.push(elc_wltrace::SlotSample {
-                t_ns: i * 60_000_000_000,
-                slot_ns: 60_000_000_000,
-                count: 10 + i,
-            });
         }
         trace.streams.push(stream);
         trace.into_shared()
@@ -808,17 +803,14 @@ mod tests {
     }
 
     #[test]
-    fn trace_scenarios_replay_recorded_counts() {
-        use elc_simcore::rng::SimRng;
+    fn trace_scenarios_replay_recorded_rates() {
         let s = Scenario::university(1)
             .with_workload_trace(tiny_trace())
             .unwrap();
         let source = s.workload();
-        let mut rng = SimRng::seed(9);
-        let minute = SimDuration::from_mins(1);
         for i in 0..4u64 {
             let t = SimTime::ZERO + SimDuration::from_mins(i);
-            assert_eq!(source.sample_arrivals(&mut rng, t, minute), 10 + i);
+            assert_eq!(source.rate_at(t), 40.0 + i as f64);
         }
     }
 
@@ -876,44 +868,33 @@ mod tests {
 
     #[test]
     fn reseed_reopens_the_stream_handout() {
-        use elc_simcore::rng::SimRng;
         let mut s = Scenario::university(1)
             .with_workload_trace(tiny_trace())
             .unwrap();
-        let minute = SimDuration::from_mins(1);
-        let mut rng = SimRng::seed(9);
-        let first = s
-            .workload()
-            .sample_arrivals(&mut rng, SimTime::ZERO, minute);
+        let first = s.workload().rate_at(SimTime::ZERO);
         s.reseed(2);
-        let again = s
-            .workload()
-            .sample_arrivals(&mut rng, SimTime::ZERO, minute);
+        let again = s.workload().rate_at(SimTime::ZERO);
         assert_eq!(first, again, "replication replays the trace from its start");
         assert_eq!(s.seed(), 2);
     }
 
     #[test]
     fn attached_recorder_captures_generated_runs() {
-        use elc_simcore::rng::SimRng;
         let mut s = Scenario::small_college(3);
         let recorder = TraceRecorder::new();
         s.attach_recorder(recorder.clone());
         let source = s.workload();
-        let mut rng = SimRng::seed(3);
-        let mut plain_rng = SimRng::seed(3);
         let plain = Scenario::small_college(3).workload();
-        let minute = SimDuration::from_mins(1);
         for i in 0..8u64 {
-            let t = SimTime::ZERO + SimDuration::from_mins(i);
+            let t = SimTime::ZERO + SimDuration::from_hours(i);
             assert_eq!(
-                source.sample_arrivals(&mut rng, t, minute),
-                plain.sample_arrivals(&mut plain_rng, t, minute),
+                source.rate_at(t).to_bits(),
+                plain.rate_at(t).to_bits(),
                 "recording must not perturb the run"
             );
         }
-        let trace = recorder.finish().expect("eight slots were recorded");
+        let trace = recorder.finish().expect("eight rates were recorded");
         assert_eq!(trace.students, 2_000);
-        assert_eq!(trace.streams[0].slots.len(), 8);
+        assert_eq!(trace.streams[0].rates.len(), 8);
     }
 }

@@ -107,14 +107,6 @@ impl RequestKind {
             RequestKind::QuizSubmit | RequestKind::Upload | RequestKind::ForumPost
         )
     }
-
-    /// Parses the [`Display`](std::fmt::Display) name back into a kind —
-    /// the inverse used by trace codecs whose on-disk kind table stores
-    /// names, not discriminants, so the format survives enum reordering.
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<RequestKind> {
-        RequestKind::ALL.into_iter().find(|k| k.to_string() == name)
-    }
 }
 
 impl std::fmt::Display for RequestKind {

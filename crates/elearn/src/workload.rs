@@ -1,15 +1,13 @@
 //! Institution-level workload generation.
 //!
 //! Combines the calendar phase, a diurnal curve and the student population
-//! into an offered request rate, and samples Poisson arrivals per time slot.
-//! This is the demand signal the deployment models must serve in E12
-//! (elasticity) and the usage input for E1 (cost).
+//! into an offered request rate. Experiments draw their own arrivals from
+//! that curve. This is the demand signal the deployment models must serve
+//! in E12 (elasticity) and the usage input for E1 (cost).
 
 use std::fmt;
 
-use elc_simcore::dist::{Distribution, Poisson};
-use elc_simcore::rng::SimRng;
-use elc_simcore::time::{SimDuration, SimTime};
+use elc_simcore::time::SimTime;
 
 use crate::calendar::{AcademicCalendar, Phase};
 use crate::request::RequestMix;
@@ -244,57 +242,6 @@ impl WorkloadModel {
             * self.phase_factors.exams
             * peak_diurnal
     }
-
-    /// Mean offered rate over `[from, to)`, sampled at `step` resolution.
-    ///
-    /// Duration-weighted: when `(to - from)` is not a multiple of `step`,
-    /// the trailing partial step contributes only the span it actually
-    /// covers, not a full step's weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step` is zero or the interval is empty.
-    #[must_use]
-    pub fn mean_rate(&self, from: SimTime, to: SimTime, step: SimDuration) -> f64 {
-        assert!(!step.is_zero(), "step must be positive");
-        assert!(to > from, "empty interval");
-        let mut t = from;
-        let mut weighted = 0.0;
-        let mut total = 0.0;
-        while t < to {
-            let span = if to - t < step { to - t } else { step };
-            let w = span.as_secs_f64();
-            weighted += self.rate_at(t) * w;
-            total += w;
-            t += step;
-        }
-        weighted / total
-    }
-
-    /// Samples the number of requests arriving in the slot `[t, t + slot)`.
-    pub fn sample_arrivals(&self, rng: &mut SimRng, t: SimTime, slot: SimDuration) -> u64 {
-        let lambda = self.rate_at(t) * slot.as_secs_f64();
-        Poisson::new(lambda.max(0.0))
-            .expect("rate is finite and non-negative")
-            .sample(rng)
-    }
-
-    /// Samples one slot's arrivals as sorted offsets from `t`, appended to
-    /// `out` (which is cleared first, so callers can reuse one buffer
-    /// across slots). Conditioned on the Poisson count, arrival instants
-    /// are i.i.d. uniform over the slot; the sorted offsets feed
-    /// `Simulation::schedule_batch` directly, which appends them to the
-    /// pending set's sorted-run lane at O(1) each.
-    pub fn sample_arrival_offsets(
-        &self,
-        rng: &mut SimRng,
-        t: SimTime,
-        slot: SimDuration,
-        out: &mut Vec<SimDuration>,
-    ) {
-        let n = self.sample_arrivals(rng, t, slot);
-        crate::source::jitter_offsets(rng, n, t, slot, out);
-    }
 }
 
 impl WorkloadSource for WorkloadModel {
@@ -306,30 +253,8 @@ impl WorkloadSource for WorkloadModel {
         WorkloadModel::rate_at(self, t)
     }
 
-    fn mix_at(&self, t: SimTime) -> RequestMix {
-        WorkloadModel::mix_at(self, t)
-    }
-
     fn peak_rate(&self) -> f64 {
         WorkloadModel::peak_rate(self)
-    }
-
-    fn sample_arrivals(&self, rng: &mut SimRng, t: SimTime, slot: SimDuration) -> u64 {
-        WorkloadModel::sample_arrivals(self, rng, t, slot)
-    }
-
-    fn sample_arrival_offsets(
-        &self,
-        rng: &mut SimRng,
-        t: SimTime,
-        slot: SimDuration,
-        out: &mut Vec<SimDuration>,
-    ) {
-        WorkloadModel::sample_arrival_offsets(self, rng, t, slot, out);
-    }
-
-    fn mean_rate(&self, from: SimTime, to: SimTime, step: SimDuration) -> f64 {
-        WorkloadModel::mean_rate(self, from, to, step)
     }
 
     fn clone_source(&self) -> Box<dyn WorkloadSource> {
@@ -341,6 +266,7 @@ impl WorkloadSource for WorkloadModel {
 mod tests {
     use super::*;
     use crate::calendar::AcademicCalendar;
+    use elc_simcore::time::SimDuration;
 
     fn model() -> WorkloadModel {
         WorkloadModel::builder(10_000, AcademicCalendar::standard_semester(SimTime::ZERO))
@@ -481,75 +407,13 @@ mod tests {
     }
 
     #[test]
-    fn arrivals_track_rate() {
-        let m = model();
-        let mut rng = SimRng::seed(1);
-        let t = at(5, 2, 20);
-        let slot = SimDuration::from_secs(10);
-        let n = 2_000;
-        let total: u64 = (0..n).map(|_| m.sample_arrivals(&mut rng, t, slot)).sum();
-        let mean = total as f64 / n as f64;
-        let expect = m.rate_at(t) * 10.0;
-        assert!(
-            (mean - expect).abs() / expect < 0.05,
-            "mean {mean}, expect {expect}"
-        );
-    }
-
-    #[test]
-    fn arrival_offsets_are_sorted_and_inside_the_slot() {
-        let m = model();
-        let mut rng = SimRng::seed(9);
-        let slot = SimDuration::from_secs(10);
-        let mut out = Vec::new();
-        m.sample_arrival_offsets(&mut rng, at(5, 2, 20), slot, &mut out);
-        assert!(!out.is_empty(), "teaching peak should see arrivals");
-        assert!(
-            out.windows(2).all(|w| w[0] <= w[1]),
-            "offsets must be sorted"
-        );
-        assert!(out.iter().all(|&d| d < slot));
-    }
-
-    #[test]
-    fn arrival_offsets_reuse_the_buffer() {
-        let m = model();
-        let mut rng = SimRng::seed(9);
-        let slot = SimDuration::from_secs(10);
-        let mut out = vec![SimDuration::from_secs(999)]; // stale content
-        m.sample_arrival_offsets(&mut rng, at(30, 2, 4), slot, &mut out);
-        // Quiet break night: whatever was sampled, the stale entry is gone.
-        assert!(out.iter().all(|&d| d < slot));
-    }
-
-    #[test]
-    fn arrival_offset_count_matches_sample_arrivals() {
-        let m = model();
-        let mut a = SimRng::seed(7);
-        let mut b = SimRng::seed(7);
-        let t = at(5, 2, 20);
-        let slot = SimDuration::from_secs(10);
-        let n = m.sample_arrivals(&mut a, t, slot);
-        let mut out = Vec::new();
-        m.sample_arrival_offsets(&mut b, t, slot, &mut out);
-        assert_eq!(
-            out.len() as u64,
-            n,
-            "count must come from the same Poisson draw"
-        );
-    }
-
-    #[test]
-    fn deterministic_sampling() {
-        let m = model();
-        let mut a = SimRng::seed(4);
-        let mut b = SimRng::seed(4);
-        let t = at(5, 2, 20);
-        for _ in 0..50 {
-            assert_eq!(
-                m.sample_arrivals(&mut a, t, SimDuration::from_secs(5)),
-                m.sample_arrivals(&mut b, t, SimDuration::from_secs(5))
-            );
+    fn rate_is_deterministic_and_constant_within_an_hour() {
+        let (a, b) = (model(), model());
+        let hour = at(5, 2, 20);
+        for minute in 0..60 {
+            let t = hour + SimDuration::from_mins(minute);
+            assert_eq!(a.rate_at(t).to_bits(), b.rate_at(t).to_bits());
+            assert_eq!(a.rate_at(t).to_bits(), a.rate_at(hour).to_bits());
         }
     }
 }

@@ -6,7 +6,7 @@
 //! a network link) becomes a set of per-class **fluid state variables**
 //! (arrival rate, backlog, service capacity) integrated with a fixed-step
 //! flow solver on coarse ticks, fed by `WorkloadSource` rates
-//! (`rate_at`/`mix_at`) instead of sampled arrivals. A day of five
+//! (`rate_at`) instead of sampled arrivals. A day of five
 //! million students then costs one flow update per tick instead of tens
 //! of billions of events.
 //!

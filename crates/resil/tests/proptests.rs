@@ -254,3 +254,71 @@ fn idempotency_gate_is_total_over_all_kinds() {
         assert!(relaxed.allows(kind), "{kind}: relaxed gate admits all");
     }
 }
+
+/// Token-built `--chaos` strings parse to a spec or an error, never a
+/// panic, and every spec that parses expands to a timeline. Counts stay
+/// small so an accepted spec expands quickly.
+#[test]
+fn token_built_specs_parse_or_error_and_expand() {
+    const NAMES: [&str; 7] = [
+        "storm",
+        "cascade",
+        "disaster",
+        "regionloss",
+        "off",
+        "warp",
+        "",
+    ];
+    const NUMBERS: [&str; 11] = [
+        "0", "0.5", "1", "1.5", "-1", "3", "1e-9", "NaN", "inf", "x", "",
+    ];
+    const KEYS: [&str; 5] = ["n", "mins", "region", "at", ""];
+    const GLUE: [&str; 4] = ["", " ", ";", ","];
+    let pick = |rng: &mut SimRng, items: &[&'static str]| -> &'static str {
+        items[rng.range_u64(0, items.len() as u64 - 1) as usize]
+    };
+    let mut parsed = 0;
+    for case in 0..4_000u64 {
+        let mut rng = SimRng::seed(0xC4A0_5000).derive_u64(case);
+        let mut spec = String::new();
+        for i in 0..rng.range_u64(1, 3) {
+            if i > 0 {
+                spec.push_str(if rng.range_u64(0, 3) == 0 {
+                    pick(&mut rng, &GLUE)
+                } else {
+                    ";"
+                });
+            }
+            spec.push_str(pick(&mut rng, &NAMES));
+            if rng.range_u64(0, 4) > 0 {
+                spec.push('@');
+            }
+            spec.push_str(pick(&mut rng, &NUMBERS));
+            if rng.range_u64(0, 1) == 0 {
+                spec.push(':');
+                for j in 0..rng.range_u64(1, 2) {
+                    if j > 0 {
+                        spec.push(',');
+                    }
+                    spec.push_str(pick(&mut rng, &KEYS));
+                    spec.push('=');
+                    spec.push_str(pick(&mut rng, &NUMBERS));
+                }
+            }
+        }
+        let Ok(chaos) = spec.parse::<ChaosSpec>() else {
+            continue;
+        };
+        parsed += 1;
+        let horizon = SimDuration::from_hours(8);
+        let tl = FaultTimeline::generate(&chaos, &rng.derive("chaos"), horizon);
+        assert_eq!(
+            tl,
+            FaultTimeline::generate(&chaos, &rng.derive("chaos"), horizon)
+        );
+        let reparsed: ChaosSpec = chaos.to_string().parse().unwrap();
+        assert_eq!(reparsed, chaos, "case {case}: {spec:?}");
+    }
+    // Most token strings are malformed; enough parse to exercise expansion.
+    assert!(parsed > 100, "only {parsed} of 4000 specs parsed");
+}

@@ -4,42 +4,31 @@
 //!
 //! ```text
 //! "ELCW"                magic, 4 bytes
-//! u8                    version (currently 1)
+//! u8                    version (currently 2)
 //! varint                students
 //! u64 LE (8 bytes)      peak rate, f64 bits
-//! varint                kind-table length
-//!   varint + bytes      each kind's Display name (length-prefixed UTF-8)
-//! varint                mix-table length
-//!   varint              each mix: pair count
-//!     varint            kind-table index
-//!     u64 LE (8 bytes)  weight, f64 bits
 //! varint                stream count
-//!   per stream, three sections (rates, mixes, slots), each:
-//!     varint            sample count
-//!     varint            time delta vs previous sample (first = absolute)
-//!     ...               section payload per sample:
-//!                         rates: u64 LE rate bits
-//!                         mixes: varint mix index
-//!                         slots: varint slot width (ns), varint count
+//!   per stream:
+//!     varint            rate sample count
+//!     per sample:
+//!       varint          time delta vs previous sample (first = absolute)
+//!       u64 LE          rate, f64 bits
 //! ```
 //!
 //! Times are delta-encoded against the previous sample in the same
-//! section — recorded streams are sorted ascending, so deltas stay small.
-//! f64 payloads stay fixed-width: rate bits are high-entropy and a varint
-//! would inflate them. The kind table stores `Display` names rather than
-//! enum discriminants so a trace survives `RequestKind` reordering; decode
-//! fails with [`TraceError::UnknownKind`] when a name is gone.
+//! stream — recorded streams are sorted ascending, so deltas stay small.
+//! Rate bits stay fixed-width: they are high-entropy and a varint would
+//! inflate them. Version 1 also carried arrival slots and request mixes;
+//! this build rejects it with [`TraceError::BadVersion`].
 
 use std::path::Path;
 
-use elc_elearn::request::RequestKind;
-
-use crate::trace::{MixSample, RateSample, SlotSample, Stream, TraceError, WorkloadTrace};
+use crate::trace::{RateSample, Stream, TraceError, WorkloadTrace};
 
 /// File magic: "ELCW" — ELearn-Cloud Workload.
 pub const MAGIC: [u8; 4] = *b"ELCW";
 /// Current format version.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 
 /// Serializes a trace to the binary format.
 #[must_use]
@@ -49,34 +38,6 @@ pub fn to_bytes(trace: &WorkloadTrace) -> Vec<u8> {
     out.push(VERSION);
     put_varint(&mut out, u64::from(trace.students));
     out.extend_from_slice(&trace.peak_rate_bits.to_le_bytes());
-
-    // Kind table: union of kinds referenced by the mix table, in first-use
-    // order.
-    let mut kinds: Vec<RequestKind> = Vec::new();
-    for mix in &trace.mixes {
-        for &(kind, _) in mix {
-            if !kinds.contains(&kind) {
-                kinds.push(kind);
-            }
-        }
-    }
-    put_varint(&mut out, kinds.len() as u64);
-    for kind in &kinds {
-        let name = kind.to_string();
-        put_varint(&mut out, name.len() as u64);
-        out.extend_from_slice(name.as_bytes());
-    }
-
-    put_varint(&mut out, trace.mixes.len() as u64);
-    for mix in &trace.mixes {
-        put_varint(&mut out, mix.len() as u64);
-        for &(kind, weight_bits) in mix {
-            let idx = kinds.iter().position(|k| *k == kind).expect("interned");
-            put_varint(&mut out, idx as u64);
-            out.extend_from_slice(&weight_bits.to_le_bytes());
-        }
-    }
-
     put_varint(&mut out, trace.streams.len() as u64);
     for stream in &trace.streams {
         put_varint(&mut out, stream.rates.len() as u64);
@@ -86,21 +47,6 @@ pub fn to_bytes(trace: &WorkloadTrace) -> Vec<u8> {
             prev = r.t_ns;
             out.extend_from_slice(&r.rate_bits.to_le_bytes());
         }
-        put_varint(&mut out, stream.mixes.len() as u64);
-        let mut prev = 0u64;
-        for m in &stream.mixes {
-            put_varint(&mut out, m.t_ns.wrapping_sub(prev));
-            prev = m.t_ns;
-            put_varint(&mut out, u64::from(m.mix));
-        }
-        put_varint(&mut out, stream.slots.len() as u64);
-        let mut prev = 0u64;
-        for s in &stream.slots {
-            put_varint(&mut out, s.t_ns.wrapping_sub(prev));
-            prev = s.t_ns;
-            put_varint(&mut out, s.slot_ns);
-            put_varint(&mut out, s.count);
-        }
     }
     out
 }
@@ -109,8 +55,8 @@ pub fn to_bytes(trace: &WorkloadTrace) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`TraceError`] on bad magic/version, truncation, unknown
-/// request kinds, or a structurally invalid trace.
+/// Returns [`TraceError`] on bad magic/version, truncation, or a
+/// structurally invalid trace.
 pub fn from_bytes(bytes: &[u8]) -> Result<WorkloadTrace, TraceError> {
     let mut r = Reader { bytes, pos: 0 };
     if r.take(4)? != MAGIC {
@@ -123,33 +69,6 @@ pub fn from_bytes(bytes: &[u8]) -> Result<WorkloadTrace, TraceError> {
     let students = u32::try_from(r.varint()?)
         .map_err(|_| TraceError::Malformed("students overflows u32".into()))?;
     let peak_rate_bits = r.u64_le()?;
-
-    let kind_count = r.len_capped("kind table")?;
-    let mut kinds = Vec::with_capacity(kind_count);
-    for _ in 0..kind_count {
-        let len = r.len_capped("kind name")?;
-        let raw = r.take(len)?;
-        let name = std::str::from_utf8(raw)
-            .map_err(|_| TraceError::Malformed("kind name not utf-8".into()))?;
-        let kind =
-            RequestKind::from_name(name).ok_or_else(|| TraceError::UnknownKind(name.into()))?;
-        kinds.push(kind);
-    }
-
-    let mix_count = r.len_capped("mix table")?;
-    let mut mixes = Vec::with_capacity(mix_count);
-    for _ in 0..mix_count {
-        let pair_count = r.len_capped("mix pairs")?;
-        let mut pairs = Vec::with_capacity(pair_count);
-        for _ in 0..pair_count {
-            let idx = r.varint()? as usize;
-            let kind = *kinds
-                .get(idx)
-                .ok_or_else(|| TraceError::Malformed(format!("kind index {idx} out of range")))?;
-            pairs.push((kind, r.u64_le()?));
-        }
-        mixes.push(pairs);
-    }
 
     let stream_count = r.len_capped("streams")?;
     let mut streams = Vec::with_capacity(stream_count);
@@ -164,31 +83,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<WorkloadTrace, TraceError> {
                 rate_bits: r.u64_le()?,
             });
         }
-        let mix_count = r.len_capped("stream mixes")?;
-        let mut stream_mixes = Vec::with_capacity(mix_count);
-        let mut prev = 0u64;
-        for _ in 0..mix_count {
-            prev = prev.wrapping_add(r.varint()?);
-            let mix = u32::try_from(r.varint()?)
-                .map_err(|_| TraceError::Malformed("mix index overflows u32".into()))?;
-            stream_mixes.push(MixSample { t_ns: prev, mix });
-        }
-        let slot_count = r.len_capped("slots")?;
-        let mut slots = Vec::with_capacity(slot_count);
-        let mut prev = 0u64;
-        for _ in 0..slot_count {
-            prev = prev.wrapping_add(r.varint()?);
-            slots.push(SlotSample {
-                t_ns: prev,
-                slot_ns: r.varint()?,
-                count: r.varint()?,
-            });
-        }
-        streams.push(Stream {
-            rates,
-            mixes: stream_mixes,
-            slots,
-        });
+        streams.push(Stream { rates });
     }
     if r.pos != r.bytes.len() {
         return Err(TraceError::Malformed(format!(
@@ -199,7 +94,6 @@ pub fn from_bytes(bytes: &[u8]) -> Result<WorkloadTrace, TraceError> {
     let trace = WorkloadTrace {
         students,
         peak_rate_bits,
-        mixes,
         streams,
     };
     trace.validate()?;
@@ -293,20 +187,9 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::MixEntry;
 
     fn trace() -> WorkloadTrace {
         let mut t = WorkloadTrace::empty(25_000, 2_600.0);
-        let teaching: MixEntry = vec![
-            (RequestKind::VideoChunk, 45.0f64.to_bits()),
-            (RequestKind::CoursePage, 22.0f64.to_bits()),
-        ];
-        let exam: MixEntry = vec![
-            (RequestKind::QuizFetch, 40.0f64.to_bits()),
-            (RequestKind::QuizSubmit, 35.0f64.to_bits()),
-        ];
-        let m0 = t.intern_mix(teaching);
-        let m1 = t.intern_mix(exam);
         for s in 0..3u64 {
             let base = 1_000_000_000 * (s + 1);
             t.streams.push(Stream {
@@ -314,23 +197,6 @@ mod tests {
                     .map(|i| RateSample {
                         t_ns: base + i * 60_000_000_000,
                         rate_bits: (0.5 + i as f64 * 1.75).to_bits(),
-                    })
-                    .collect(),
-                mixes: vec![
-                    MixSample {
-                        t_ns: base,
-                        mix: m0,
-                    },
-                    MixSample {
-                        t_ns: base + 1_200_000_000_000,
-                        mix: m1,
-                    },
-                ],
-                slots: (0..40)
-                    .map(|i| SlotSample {
-                        t_ns: base + i * 60_000_000_000,
-                        slot_ns: 60_000_000_000,
-                        count: i * 17 % 400,
                     })
                     .collect(),
             });
@@ -350,12 +216,12 @@ mod tests {
     fn format_is_compact() {
         let t = trace();
         let bytes = to_bytes(&t);
-        // A naive fixed-width encoding needs 16 B per rate sample and
-        // 24 B per slot: 3 streams × 40 × (16 + 24) = 4 800 B before
-        // tables. Delta-varint times keep this comfortably below that.
+        // A naive fixed-width encoding needs 16 B per rate sample:
+        // 3 streams × 40 × 16 = 1 920 B before the header. Delta-varint
+        // times beat that even with the header.
         assert!(
-            bytes.len() < 4_000,
-            "encoding should beat fixed-width (~4.8 kB), got {} bytes",
+            bytes.len() < 3 * 40 * 16,
+            "encoding should beat fixed-width (1 920 B), got {} bytes",
             bytes.len()
         );
     }
@@ -383,25 +249,20 @@ mod tests {
     }
 
     #[test]
-    fn rejects_unknown_kind_names() {
-        let t = trace();
-        let mut bytes = to_bytes(&t);
-        // The first kind name follows magic+version+students+peak+table len.
-        let name = RequestKind::VideoChunk.to_string();
-        let pos = bytes
-            .windows(name.len())
-            .position(|w| w == name.as_bytes())
-            .unwrap();
-        bytes[pos..pos + name.len()].copy_from_slice(b"video-crunch"[..name.len()].as_ref());
-        assert!(matches!(
-            from_bytes(&bytes),
-            Err(TraceError::UnknownKind(_))
-        ));
+    fn rejects_a_version_1_file() {
+        // A version-1 header as the previous format wrote it, followed by
+        // empty kind and mix tables and one empty stream.
+        let mut bytes = MAGIC.to_vec();
+        bytes.push(1);
+        bytes.push(10);
+        bytes.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
+        bytes.extend_from_slice(&[0, 0, 1, 0, 0, 0]);
+        assert_eq!(from_bytes(&bytes), Err(TraceError::BadVersion(1)));
     }
 
     #[test]
     fn corrupt_length_cannot_allocate_wildly() {
-        // magic + version + students=1 + peak bits + kind count huge.
+        // magic + version + students=1 + peak bits + stream count huge.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
         bytes.push(VERSION);

@@ -7,32 +7,27 @@
 //! ```text
 //! #students=25000            optional pragmas, before the header
 //! #peak_rate=2600
-//! stream,time_ns,slot_ns,kind,value
-//! 0,3600000000000,60000000000,*,1234      arrival slot, aggregate count
-//! 0,3600000000000,60000000000,quiz-submit,17   per-kind count (adds to the
-//!                                              slot and defines its mix)
-//! 0,3600000000000,0,~rate,12.5            explicit rate sample (rps)
-//! 0,3600000000000,0,video-chunk,45        mix weight (slot_ns = 0)
+//! stream,time_ns,rate
+//! 0,3600000000000,12.5       rate in force from this instant (rps)
 //! ```
 //!
-//! Rates and weights round-trip exactly: floats are printed with Rust's
-//! shortest-round-trip formatting. When a stream has no `~rate` rows, rates
-//! are derived from its slots (`count / slot`); when no `#peak_rate`
-//! pragma is given, the peak is the maximum rate seen. Rows may appear in
-//! any order — streams are sorted while building the trace.
+//! Rates round-trip exactly: floats are printed with Rust's
+//! shortest-round-trip formatting. When no `#peak_rate` pragma is given,
+//! the peak is the maximum rate seen. Rows may appear in any order —
+//! streams are sorted while building the trace, and of two rows at one
+//! instant the later one wins.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
-use elc_elearn::request::RequestKind;
-
-use crate::trace::{
-    dedup_stream, MixSample, RateSample, SlotSample, Stream, TraceError, WorkloadTrace,
-};
+use crate::trace::{dedup_stream, RateSample, Stream, TraceError, WorkloadTrace};
 
 /// Default cohort when a CSV has no `#students=` pragma.
 pub const DEFAULT_STUDENTS: u32 = 1_000;
+
+/// The column header every CSV trace carries.
+const HEADER: &str = "stream,time_ns,rate";
 
 /// Renders a trace to the CSV schema above.
 #[must_use]
@@ -40,20 +35,10 @@ pub fn to_csv(trace: &WorkloadTrace) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "#students={}", trace.students);
     let _ = writeln!(out, "#peak_rate={}", trace.peak_rate());
-    out.push_str("stream,time_ns,slot_ns,kind,value\n");
+    let _ = writeln!(out, "{HEADER}");
     for (i, stream) in trace.streams.iter().enumerate() {
         for r in &stream.rates {
-            let _ = writeln!(out, "{i},{},0,~rate,{}", r.t_ns, r.rate());
-        }
-        for m in &stream.mixes {
-            if let Some(entry) = trace.mixes.get(m.mix as usize) {
-                for &(kind, bits) in entry {
-                    let _ = writeln!(out, "{i},{},0,{kind},{}", m.t_ns, f64::from_bits(bits));
-                }
-            }
-        }
-        for s in &stream.slots {
-            let _ = writeln!(out, "{i},{},{},*,{}", s.t_ns, s.slot_ns, s.count);
+            let _ = writeln!(out, "{i},{},{}", r.t_ns, r.rate());
         }
     }
     out
@@ -64,185 +49,67 @@ pub fn to_csv(trace: &WorkloadTrace) -> String {
 /// # Errors
 ///
 /// Returns [`TraceError::Malformed`] on schema violations and
-/// [`TraceError::Empty`] when no demand rows survive.
+/// [`TraceError::Empty`] when no rate rows survive.
 pub fn from_csv(text: &str) -> Result<WorkloadTrace, TraceError> {
     let mut students: Option<u32> = None;
     let mut peak_rate: Option<f64> = None;
-    // stream -> accumulated samples; BTreeMap keeps stream order stable.
-    let mut rates: BTreeMap<u64, Vec<RateSample>> = BTreeMap::new();
-    // (stream, t) -> mix weight pairs.
-    let mut mix_rows: BTreeMap<(u64, u64), Vec<(RequestKind, u64)>> = BTreeMap::new();
-    // (stream, t, slot) -> (aggregate count, per-kind counts).
-    #[allow(clippy::type_complexity)]
-    let mut slot_rows: BTreeMap<(u64, u64, u64), (u64, Vec<(RequestKind, u64)>)> = BTreeMap::new();
+    // BTreeMap keeps stream order stable.
+    let mut streams: BTreeMap<u64, Stream> = BTreeMap::new();
 
     let mut saw_header = false;
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
+        let bad = |what: &str| TraceError::Malformed(format!("line {}: {what}", lineno + 1));
         if line.is_empty() {
             continue;
         }
         if let Some(pragma) = line.strip_prefix('#') {
             if let Some(v) = pragma.strip_prefix("students=") {
-                students = Some(v.trim().parse().map_err(|_| {
-                    TraceError::Malformed(format!("line {}: bad #students", lineno + 1))
-                })?);
+                students = Some(v.trim().parse().map_err(|_| bad("bad #students"))?);
             } else if let Some(v) = pragma.strip_prefix("peak_rate=") {
-                peak_rate = Some(v.trim().parse().map_err(|_| {
-                    TraceError::Malformed(format!("line {}: bad #peak_rate", lineno + 1))
-                })?);
+                peak_rate = Some(v.trim().parse().map_err(|_| bad("bad #peak_rate"))?);
             }
             // Unknown pragmas are comments.
             continue;
         }
         if !saw_header {
-            if line != "stream,time_ns,slot_ns,kind,value" {
-                return Err(TraceError::Malformed(format!(
-                    "line {}: expected header stream,time_ns,slot_ns,kind,value",
-                    lineno + 1
-                )));
+            if line != HEADER {
+                return Err(bad(&format!("expected header {HEADER}")));
             }
             saw_header = true;
             continue;
         }
-        let mut cols = line.split(',');
-        let (stream, t_ns, slot_ns, kind, value) = match (
-            cols.next(),
-            cols.next(),
-            cols.next(),
-            cols.next(),
-            cols.next(),
-            cols.next(),
-        ) {
-            (Some(s), Some(t), Some(w), Some(k), Some(v), None) => (s, t, w, k, v),
-            _ => {
-                return Err(TraceError::Malformed(format!(
-                    "line {}: expected 5 columns",
-                    lineno + 1
-                )))
-            }
+        let mut cols = line.split(',').map(str::trim);
+        let (Some(stream), Some(t_ns), Some(rate), None) =
+            (cols.next(), cols.next(), cols.next(), cols.next())
+        else {
+            return Err(bad("expected 3 columns"));
         };
-        let parse_u64 = |s: &str, what: &str| -> Result<u64, TraceError> {
-            s.trim().parse().map_err(|_| {
-                TraceError::Malformed(format!("line {}: bad {what} {s:?}", lineno + 1))
-            })
-        };
-        let stream = parse_u64(stream, "stream")?;
-        let t_ns = parse_u64(t_ns, "time_ns")?;
-        let slot_ns = parse_u64(slot_ns, "slot_ns")?;
-        match kind.trim() {
-            "~rate" => {
-                let rate: f64 = value.trim().parse().map_err(|_| {
-                    TraceError::Malformed(format!("line {}: bad rate {value:?}", lineno + 1))
-                })?;
-                if !rate.is_finite() || rate < 0.0 {
-                    return Err(TraceError::Malformed(format!(
-                        "line {}: rate must be non-negative",
-                        lineno + 1
-                    )));
-                }
-                rates.entry(stream).or_default().push(RateSample {
-                    t_ns,
-                    rate_bits: rate.to_bits(),
-                });
-            }
-            "*" => {
-                if slot_ns == 0 {
-                    return Err(TraceError::Malformed(format!(
-                        "line {}: aggregate slot needs slot_ns > 0",
-                        lineno + 1
-                    )));
-                }
-                let count = parse_u64(value, "count")?;
-                slot_rows.entry((stream, t_ns, slot_ns)).or_default().0 += count;
-            }
-            name => {
-                let kind = RequestKind::from_name(name)
-                    .ok_or_else(|| TraceError::UnknownKind(name.into()))?;
-                if slot_ns == 0 {
-                    // Mix weight row.
-                    let weight: f64 = value.trim().parse().map_err(|_| {
-                        TraceError::Malformed(format!("line {}: bad weight {value:?}", lineno + 1))
-                    })?;
-                    if !weight.is_finite() || weight < 0.0 {
-                        return Err(TraceError::Malformed(format!(
-                            "line {}: weight must be non-negative",
-                            lineno + 1
-                        )));
-                    }
-                    mix_rows
-                        .entry((stream, t_ns))
-                        .or_default()
-                        .push((kind, weight.to_bits()));
-                } else {
-                    // Per-kind count: adds to the slot and to its mix.
-                    let count = parse_u64(value, "count")?;
-                    let entry = slot_rows.entry((stream, t_ns, slot_ns)).or_default();
-                    entry.0 += count;
-                    entry.1.push((kind, count));
-                }
-            }
+        let stream: u64 = stream
+            .parse()
+            .map_err(|_| bad(&format!("bad stream {stream:?}")))?;
+        let t_ns: u64 = t_ns
+            .parse()
+            .map_err(|_| bad(&format!("bad time_ns {t_ns:?}")))?;
+        let rate: f64 = rate
+            .parse()
+            .map_err(|_| bad(&format!("bad rate {rate:?}")))?;
+        if !rate.is_finite() || rate < 0.0 {
+            return Err(bad("rate must be non-negative"));
         }
+        streams.entry(stream).or_default().rates.push(RateSample {
+            t_ns,
+            rate_bits: rate.to_bits(),
+        });
     }
-
-    let stream_ids: Vec<u64> = {
-        let mut ids: Vec<u64> = rates
-            .keys()
-            .copied()
-            .chain(mix_rows.keys().map(|&(s, _)| s))
-            .chain(slot_rows.keys().map(|&(s, _, _)| s))
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    };
-    if stream_ids.is_empty() {
+    if streams.is_empty() {
         return Err(TraceError::Empty);
     }
 
     let mut trace = WorkloadTrace::empty(students.unwrap_or(DEFAULT_STUDENTS), 0.0);
     let mut max_rate = 0.0f64;
-    for &id in &stream_ids {
-        let mut stream = Stream::default();
-        if let Some(mut r) = rates.remove(&id) {
-            r.sort_by_key(|s| s.t_ns);
-            stream.rates = r;
-        }
-        for ((_, t_ns), pairs) in mix_rows.iter().filter(|((s, _), _)| *s == id) {
-            let mix = trace.intern_mix(pairs.clone());
-            stream.mixes.push(MixSample { t_ns: *t_ns, mix });
-        }
-        for (&(_, t_ns, slot_ns), &(count, ref kinds)) in
-            slot_rows.iter().filter(|((s, _, _), _)| *s == id)
-        {
-            stream.slots.push(SlotSample {
-                t_ns,
-                slot_ns,
-                count,
-            });
-            // Per-kind counts double as the mix in force for that slot.
-            if !kinds.is_empty() {
-                let pairs: Vec<(RequestKind, u64)> = kinds
-                    .iter()
-                    .map(|&(k, c)| (k, (c as f64).to_bits()))
-                    .collect();
-                let mix = trace.intern_mix(pairs);
-                stream.mixes.push(MixSample { t_ns, mix });
-            }
-        }
-        stream.mixes.sort_by_key(|m| m.t_ns);
-        stream.slots.sort_by_key(|s| (s.t_ns, s.slot_ns));
-        // Streams without explicit rate rows derive rates from slots.
-        if stream.rates.is_empty() {
-            stream.rates = stream
-                .slots
-                .iter()
-                .map(|s| RateSample {
-                    t_ns: s.t_ns,
-                    rate_bits: (s.count as f64 / (s.slot_ns as f64 / 1e9)).to_bits(),
-                })
-                .collect();
-        }
+    for mut stream in streams.into_values() {
+        stream.rates.sort_by_key(|r| r.t_ns);
         dedup_stream(&mut stream);
         for r in &stream.rates {
             max_rate = max_rate.max(r.rate());
@@ -281,10 +148,6 @@ mod tests {
 
     fn trace() -> WorkloadTrace {
         let mut t = WorkloadTrace::empty(2_000, 160.0);
-        let mix = t.intern_mix(vec![
-            (RequestKind::VideoChunk, 45.0f64.to_bits()),
-            (RequestKind::QuizSubmit, 4.5f64.to_bits()),
-        ]);
         t.streams.push(Stream {
             rates: vec![
                 RateSample {
@@ -296,12 +159,6 @@ mod tests {
                     rate_bits: 13.626_262f64.to_bits(),
                 },
             ],
-            mixes: vec![MixSample { t_ns: 1_000, mix }],
-            slots: vec![SlotSample {
-                t_ns: 1_000,
-                slot_ns: 60_000,
-                count: 7,
-            }],
         });
         t
     }
@@ -315,42 +172,40 @@ mod tests {
     }
 
     #[test]
-    fn external_dataset_with_counts_only_derives_rates_and_mix() {
+    fn external_dataset_rows_sort_and_the_peak_defaults_to_the_max() {
         let csv = "\
 #students=500
-stream,time_ns,slot_ns,kind,value
-0,0,1000000000,quiz-submit,30
-0,0,1000000000,video-chunk,10
-0,2000000000,1000000000,*,80
+stream,time_ns,rate
+1,5,7.5
+0,2000000000,80
+0,0,40
+0,2000000000,60
 ";
         let t = from_csv(csv).unwrap();
         assert_eq!(t.students, 500);
-        assert_eq!(t.streams.len(), 1);
+        assert_eq!(t.streams.len(), 2);
         let s = &t.streams[0];
-        assert_eq!(s.slots.len(), 2);
-        assert_eq!(s.slots[0].count, 40, "per-kind counts sum into the slot");
-        assert_eq!(s.slots[1].count, 80);
-        // Derived rates: 40 rps then 80 rps; peak defaults to the max.
-        assert_eq!(s.rates[0].rate(), 40.0);
-        assert_eq!(s.rates[1].rate(), 80.0);
-        assert_eq!(t.peak_rate(), 80.0);
-        // The per-kind slot defined a mix.
-        assert_eq!(s.mixes.len(), 1);
-        let mix = t.mix(s.mixes[0].mix).unwrap();
-        assert_eq!(mix.pairs().len(), 2);
+        assert_eq!(s.rates.len(), 2, "one rate per instant");
+        assert_eq!((s.rates[0].t_ns, s.rates[0].rate()), (0, 40.0));
+        assert_eq!(s.rates[1].rate(), 60.0, "the later row wins");
+        assert_eq!(t.streams[1].rates[0].rate(), 7.5);
+        assert_eq!(t.peak_rate(), 60.0);
     }
 
     #[test]
     fn rejects_bad_schema() {
         assert!(matches!(from_csv(""), Err(TraceError::Empty)));
         assert!(from_csv("bad,header\n").is_err());
-        let hdr = "stream,time_ns,slot_ns,kind,value\n";
-        assert!(from_csv(&format!("{hdr}0,0,0,*,5\n")).is_err());
-        assert!(from_csv(&format!("{hdr}0,0,1,nope,5\n")).is_err());
-        assert!(from_csv(&format!("{hdr}0,0,1,*\n")).is_err());
-        assert!(from_csv(&format!("{hdr}0,x,1,*,5\n")).is_err());
-        assert!(from_csv(&format!("{hdr}0,0,0,~rate,-3\n")).is_err());
-        assert!(from_csv("#students=zero\nstream,time_ns,slot_ns,kind,value\n").is_err());
+        let hdr = "stream,time_ns,rate\n";
+        assert!(from_csv(&format!("{hdr}0,0\n")).is_err());
+        assert!(from_csv(&format!("{hdr}0,0,5,1\n")).is_err());
+        assert!(from_csv(&format!("{hdr}0,x,5\n")).is_err());
+        assert!(from_csv(&format!("{hdr}0,0,-3\n")).is_err());
+        assert!(from_csv(&format!("{hdr}0,0,inf\n")).is_err());
+        assert!(from_csv("#students=zero\nstream,time_ns,rate\n").is_err());
+        // The previous five-column schema is refused, not misread.
+        let old = "stream,time_ns,slot_ns,kind,value\n0,0,60000000000,*,10\n";
+        assert!(matches!(from_csv(old), Err(TraceError::Malformed(_))));
     }
 
     #[test]

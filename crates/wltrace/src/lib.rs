@@ -1,24 +1,25 @@
 //! # elc-wltrace — workload trace record, replay and morphing
 //!
 //! The paper's core question — which cloud deployment model serves an
-//! e-learning system best — demands apples-to-apples comparisons, and the
-//! synthetic [`WorkloadModel`](elc_elearn::workload::WorkloadModel) cannot
-//! drive two experiments with the *same exact* request stream: every run
-//! re-samples its Poisson arrivals. This crate closes that gap:
+//! e-learning system best — demands apples-to-apples comparisons: the same
+//! demand curve driving several deployment models. A trace is that curve.
+//! It records the offered rate a
+//! [`WorkloadModel`](elc_elearn::workload::WorkloadModel) (or an external
+//! dataset) answered at each queried instant; consumers draw their own
+//! arrivals from it, exactly as they do from the generator.
 //!
 //! * [`trace`] — the in-memory [`WorkloadTrace`] model and the morphing
 //!   combinators ([`time_stretch`](WorkloadTrace::time_stretch),
 //!   [`amplitude_scale`](WorkloadTrace::amplitude_scale),
 //!   [`clip`](WorkloadTrace::clip)) plus the [`MorphSpec`] `--morph`
 //!   parser,
-//! * [`codec`] — the compact binary format (`ELCW` magic, interned
-//!   request-kind table, delta-encoded samples),
+//! * [`codec`] — the compact binary format (`ELCW` magic, version 2,
+//!   delta-encoded rate samples),
 //! * [`csvio`] — CSV interchange for external datasets,
 //! * [`record`] — [`TraceRecorder`], a tee that records any
 //!   generator-driven run without perturbing it,
 //! * [`replay`] — [`TraceReplayer`] and [`TraceHandout`], which drive any
-//!   experiment from a trace while re-jittering recorded counts through
-//!   the caller's RNG so shard/thread byte-identity holds.
+//!   experiment from a trace; the replayed rates are the recorded bits.
 //!
 //! Replay events are emitted under the `wltrace` trace target.
 //!
@@ -29,17 +30,16 @@
 //! use elc_elearn::calendar::AcademicCalendar;
 //! use elc_elearn::source::WorkloadSource;
 //! use elc_elearn::workload::WorkloadModel;
-//! use elc_simcore::{SimDuration, SimRng, SimTime};
+//! use elc_simcore::{SimDuration, SimTime};
 //! use elc_wltrace::{MorphSpec, TraceRecorder, TraceReplayer};
 //!
-//! // Record a generator-driven exam evening.
+//! // Record the rate curve of a generator-driven exam evening.
 //! let cal = AcademicCalendar::standard_semester(SimTime::ZERO);
 //! let recorder = TraceRecorder::new();
 //! let source = recorder.wrap(Box::new(WorkloadModel::builder(1_000, cal).build().unwrap()));
-//! let mut rng = SimRng::seed(42);
 //! let start = cal.exams_start() + SimDuration::from_hours(19);
 //! for i in 0..60 {
-//!     source.sample_arrivals(&mut rng, start + SimDuration::from_mins(i), SimDuration::from_mins(1));
+//!     source.rate_at(start + SimDuration::from_mins(i));
 //! }
 //! let trace = recorder.finish().unwrap();
 //!
@@ -47,6 +47,7 @@
 //! let big = MorphSpec::parse("scale=40").unwrap().apply(&trace).unwrap();
 //! let replay = TraceReplayer::stream(Arc::new(big), 0).unwrap();
 //! assert_eq!(replay.students(), 40_000);
+//! assert_eq!(replay.rate_at(start), 40.0 * source.rate_at(start));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -63,7 +64,4 @@ pub mod trace;
 
 pub use record::TraceRecorder;
 pub use replay::{TraceHandout, TraceReplayer};
-pub use trace::{
-    MixEntry, MixSample, Morph, MorphSpec, RateSample, SlotSample, Stream, TraceError,
-    WorkloadTrace,
-};
+pub use trace::{Morph, MorphSpec, RateSample, Stream, TraceError, WorkloadTrace};

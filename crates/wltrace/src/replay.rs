@@ -1,20 +1,14 @@
 //! Replay: drive any experiment from a recorded trace.
 //!
 //! [`TraceReplayer`] implements `WorkloadSource` over one [`Stream`] of a
-//! [`WorkloadTrace`]:
-//!
-//! * `rate_at` returns the recorded bits on an exact hit and the last
-//!   recorded rate before `t` otherwise (piecewise-constant), so replays
-//!   are exact where the recording queried and sensible in between;
-//! * `sample_arrivals` returns the recorded count on an exact
-//!   `(t, slot)` hit **without touching the RNG** — the caller's stream
-//!   stays aligned with the recording run — and falls back to a Poisson
-//!   draw over the replayed rate off-trace (consuming the RNG exactly as
-//!   the generator would have);
-//! * `sample_arrival_offsets` (trait default) re-jitters replayed counts
-//!   into uniform offsets through the *caller's* `SimRng`, which is what
-//!   keeps shard/thread byte-identity: the count is data, the jitter is
-//!   the caller's seed lineage.
+//! [`WorkloadTrace`]: `rate_at` returns the recorded bits on an exact hit
+//! and the last recorded rate before `t` otherwise (piecewise-constant),
+//! so replays are exact where the recording queried and sensible in
+//! between. A replay is a demand curve, not a sequence of counts: the
+//! consumer draws its arrivals from the replayed rate through its own
+//! seed lineage, so a replay at the recording's seed reproduces the
+//! recorded run and a replay at any other seed equals the generator at
+//! that seed.
 //!
 //! [`TraceHandout`] hands streams to consumers the way the recorder saw
 //! sources get created: each `source()` call yields an unbound replayer
@@ -26,11 +20,8 @@
 
 use std::sync::{Arc, Mutex, OnceLock};
 
-use elc_elearn::request::RequestMix;
 use elc_elearn::source::WorkloadSource;
-use elc_simcore::dist::{Distribution, Poisson};
-use elc_simcore::rng::SimRng;
-use elc_simcore::time::{SimDuration, SimTime};
+use elc_simcore::time::SimTime;
 use elc_trace::{Field, Level};
 
 use crate::trace::{RateSample, Stream, TraceError, WorkloadTrace};
@@ -200,50 +191,6 @@ impl WorkloadSource for TraceReplayer {
         Self::lookup_rate(self.stream_for(t.as_nanos()), t.as_nanos())
     }
 
-    fn mix_at(&self, t: SimTime) -> RequestMix {
-        let t_ns = t.as_nanos();
-        let stream = self.stream_for(t_ns);
-        let idx = stream.mixes.partition_point(|m| m.t_ns <= t_ns);
-        let sample = if idx > 0 {
-            Some(stream.mixes[idx - 1])
-        } else {
-            stream.mixes.first().copied()
-        };
-        sample
-            .and_then(|m| self.trace.mix(m.mix).ok())
-            .unwrap_or_else(RequestMix::teaching)
-    }
-
-    fn sample_arrivals(&self, rng: &mut SimRng, t: SimTime, slot: SimDuration) -> u64 {
-        let t_ns = t.as_nanos();
-        let slot_ns = slot.as_nanos();
-        let stream = self.stream_for(t_ns);
-        let idx = stream
-            .slots
-            .partition_point(|s| (s.t_ns, s.slot_ns) < (t_ns, slot_ns));
-        if let Some(s) = stream.slots.get(idx) {
-            if s.t_ns == t_ns && s.slot_ns == slot_ns {
-                // Exact hit: the count is data, no RNG is consumed.
-                if elc_trace::enabled(crate::TRACE_TARGET, Level::Debug) {
-                    elc_trace::instant(
-                        t_ns,
-                        crate::TRACE_TARGET,
-                        "replay.slot",
-                        Level::Debug,
-                        &[Field::u64("count", s.count)],
-                    );
-                }
-                return s.count;
-            }
-        }
-        // Off-trace query: fall back to the generator's sampling rule over
-        // the replayed rate, consuming the RNG just like a generator.
-        let lambda = Self::lookup_rate(stream, t_ns) * slot.as_secs_f64();
-        Poisson::new(lambda.max(0.0))
-            .expect("replayed rate is finite and non-negative")
-            .sample(rng)
-    }
-
     fn clone_source(&self) -> Box<dyn WorkloadSource> {
         Box::new(self.clone())
     }
@@ -255,100 +202,74 @@ mod tests {
     use crate::record::TraceRecorder;
     use elc_elearn::calendar::AcademicCalendar;
     use elc_elearn::workload::WorkloadModel;
+    use elc_simcore::time::SimDuration;
 
-    fn recorded_trace(students: u32, seed: u64) -> (WorkloadModel, Arc<WorkloadTrace>) {
+    fn exam_noon() -> SimTime {
+        SimTime::from_secs(15 * 7 * 86_400 + 12 * 3_600)
+    }
+
+    fn recorded_trace(students: u32) -> (WorkloadModel, Arc<WorkloadTrace>) {
         let cal = AcademicCalendar::standard_semester(SimTime::ZERO);
         let model = WorkloadModel::builder(students, cal).build().unwrap();
         let recorder = TraceRecorder::new();
         let wrapped = recorder.wrap(Box::new(model.clone()));
-        let mut rng = SimRng::seed(seed);
-        let slot = SimDuration::from_secs(60);
-        let start = SimTime::from_secs(15 * 7 * 86_400 + 12 * 3_600);
         for i in 0..240u64 {
-            let t = start + SimDuration::from_secs(i * 60);
-            wrapped.sample_arrivals(&mut rng, t, slot);
-            if i % 30 == 0 {
-                let _ = wrapped.mix_at(t);
-            }
+            let _ = wrapped.rate_at(exam_noon() + SimDuration::from_mins(i));
         }
         (model, Arc::new(recorder.finish().unwrap()))
     }
 
     #[test]
-    fn replay_returns_recorded_counts_without_consuming_rng() {
-        let (model, trace) = recorded_trace(10_000, 42);
+    fn replay_returns_the_recorded_rates_bit_for_bit() {
+        let (model, trace) = recorded_trace(10_000);
         let replay = TraceReplayer::stream(trace, 0).unwrap();
-        // Regenerate the recording run to know the expected counts.
-        let mut gen_rng = SimRng::seed(42);
-        let mut replay_rng = SimRng::seed(123); // deliberately different
-        let slot = SimDuration::from_secs(60);
-        let start = SimTime::from_secs(15 * 7 * 86_400 + 12 * 3_600);
         for i in 0..240u64 {
-            let t = start + SimDuration::from_secs(i * 60);
-            let expect = model.sample_arrivals(&mut gen_rng, t, slot);
-            let got = replay.sample_arrivals(&mut replay_rng, t, slot);
-            assert_eq!(got, expect, "tick {i}");
+            let t = exam_noon() + SimDuration::from_mins(i);
+            assert_eq!(
+                replay.rate_at(t).to_bits(),
+                model.rate_at(t).to_bits(),
+                "tick {i}"
+            );
         }
-        assert_eq!(
-            replay_rng.next_u64(),
-            SimRng::seed(123).next_u64(),
-            "exact hits must not touch the caller's RNG"
-        );
+        assert_eq!(replay.students(), model.students());
+        assert_eq!(replay.peak_rate().to_bits(), model.peak_rate().to_bits());
     }
 
     #[test]
-    fn replayed_rates_and_header_are_bit_exact() {
-        let (model, trace) = recorded_trace(10_000, 7);
+    fn off_trace_queries_answer_the_rate_in_force() {
+        let (model, trace) = recorded_trace(10_000);
         let replay = TraceReplayer::stream(trace, 0).unwrap();
-        assert_eq!(replay.students(), model.students());
-        assert_eq!(replay.peak_rate().to_bits(), model.peak_rate().to_bits());
-        let t = SimTime::from_secs(15 * 7 * 86_400 + 12 * 3_600 + 50 * 60);
-        assert_eq!(replay.rate_at(t).to_bits(), model.rate_at(t).to_bits());
+        let t = exam_noon() + SimDuration::from_mins(50);
         // Between recorded samples: piecewise-constant floor.
         let between = t + SimDuration::from_secs(30);
         assert_eq!(
             replay.rate_at(between).to_bits(),
             model.rate_at(t).to_bits()
         );
+        // After the last sample its rate stays in force.
+        let last = exam_noon() + SimDuration::from_mins(239);
+        assert_eq!(
+            replay.rate_at(last + SimDuration::from_hours(5)).to_bits(),
+            model.rate_at(last).to_bits()
+        );
         // Before the first sample: quiet.
         assert_eq!(replay.rate_at(SimTime::ZERO), 0.0);
-        // Exam-window mix replays as recorded.
-        assert_eq!(replay.mix_at(t), model.mix_at(t));
-    }
-
-    #[test]
-    fn off_trace_queries_fall_back_to_poisson_over_the_replayed_rate() {
-        let (_, trace) = recorded_trace(10_000, 9);
-        let replay = TraceReplayer::stream(trace, 0).unwrap();
-        let t = SimTime::from_secs(15 * 7 * 86_400 + 12 * 3_600 + 10 * 60);
-        // A slot width the recording never used misses the exact-hit path.
-        let odd_slot = SimDuration::from_secs(17);
-        let mut a = SimRng::seed(5);
-        let mut b = SimRng::seed(5);
-        let x = replay.sample_arrivals(&mut a, t, odd_slot);
-        let y = replay.sample_arrivals(&mut b, t, odd_slot);
-        assert_eq!(x, y, "fallback is deterministic in the caller's seed");
-        assert_ne!(
-            a.next_u64(),
-            SimRng::seed(5).next_u64(),
-            "fallback consumes the RNG like a generator"
-        );
     }
 
     #[test]
     fn handout_binds_streams_by_first_query_time_then_creation_order() {
-        // Record two sources with distinct start instants.
+        // Record two sources with distinct start instants and rates: a
+        // teaching-week midnight and an exam-week one.
         let cal = AcademicCalendar::standard_semester(SimTime::ZERO);
         let model = WorkloadModel::builder(4_000, cal).build().unwrap();
         let recorder = TraceRecorder::new();
         let early = recorder.wrap(Box::new(model.clone()));
         let late = recorder.wrap(Box::new(model));
-        let mut rng = SimRng::seed(3);
-        let slot = SimDuration::from_secs(60);
         let t_early = SimTime::from_secs(5 * 7 * 86_400);
-        let t_late = SimTime::from_secs(6 * 7 * 86_400);
-        let n_early = early.sample_arrivals(&mut rng, t_early, slot);
-        let n_late = late.sample_arrivals(&mut rng, t_late, slot);
+        let t_late = SimTime::from_secs(15 * 7 * 86_400);
+        let r_early = early.rate_at(t_early);
+        let r_late = late.rate_at(t_late);
+        assert_ne!(r_early, r_late, "the streams must be told apart");
         let trace = Arc::new(recorder.finish().unwrap());
 
         let handout = TraceHandout::new(trace.clone()).unwrap();
@@ -356,14 +277,13 @@ mod tests {
         // because first-query instants disambiguate.
         let b = handout.source();
         let a = handout.source();
-        let mut replay_rng = SimRng::seed(99);
-        assert_eq!(b.sample_arrivals(&mut replay_rng, t_late, slot), n_late);
-        assert_eq!(a.sample_arrivals(&mut replay_rng, t_early, slot), n_early);
+        assert_eq!(b.rate_at(t_late), r_late);
+        assert_eq!(a.rate_at(t_early), r_early);
 
         // After reset the hand-out starts over.
         handout.reset();
         let c = handout.source();
-        assert_eq!(c.sample_arrivals(&mut replay_rng, t_early, slot), n_early);
+        assert_eq!(c.rate_at(t_early), r_early);
 
         // Exhausting the streams cycles in creation order.
         let more: Vec<_> = (0..3).map(|_| handout.source()).collect();

@@ -3,10 +3,9 @@
 //! A [`WorkloadTrace`] is what a [`TraceRecorder`](crate::TraceRecorder)
 //! produces and a [`TraceReplayer`](crate::TraceReplayer) consumes: a
 //! header (cohort size, analytic peak rate) plus one [`Stream`] per demand
-//! source the recorded run created, each holding the exact queries that
-//! source answered — rate samples (as raw f64 bits, so replay reproduces
-//! them bit-for-bit), request-mix changes (interned in a mix table), and
-//! sampled arrival slots `(time, slot, count)`.
+//! source the recorded run created, each holding the rate samples that
+//! source answered, as raw f64 bits so replay reproduces them bit for bit.
+//! A trace is a demand curve: consumers draw their own arrivals from it.
 //!
 //! Morphs ([`WorkloadTrace::time_stretch`], [`amplitude_scale`], [`clip`])
 //! derive new traces from recorded ones — scale a recorded 1k-student day
@@ -19,7 +18,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use elc_elearn::request::{RequestKind, RequestMix};
 use elc_simcore::time::SimDuration;
 
 /// Errors from trace validation, codecs, morphing or recording.
@@ -33,8 +31,6 @@ pub enum TraceError {
     Truncated,
     /// A structural invariant failed while decoding or validating.
     Malformed(String),
-    /// The kind table named a request kind this build does not know.
-    UnknownKind(String),
     /// A morph operation or `--morph` spec was invalid.
     BadMorph(String),
     /// A file operation failed (message includes the path).
@@ -58,7 +54,6 @@ impl fmt::Display for TraceError {
             TraceError::BadVersion(v) => write!(f, "unsupported trace version {v}"),
             TraceError::Truncated => write!(f, "trace ends mid-record"),
             TraceError::Malformed(msg) => write!(f, "malformed trace: {msg}"),
-            TraceError::UnknownKind(name) => write!(f, "unknown request kind {name:?}"),
             TraceError::BadMorph(msg) => write!(f, "bad morph: {msg}"),
             TraceError::Io(msg) => write!(f, "trace io: {msg}"),
             TraceError::HeaderConflict { first, other } => write!(
@@ -90,71 +85,29 @@ impl RateSample {
     }
 }
 
-/// One recorded mix query: the instant and an index into the trace's
-/// interned mix table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MixSample {
-    /// Query instant, nanoseconds on the simulation clock.
-    pub t_ns: u64,
-    /// Index into [`WorkloadTrace::mixes`].
-    pub mix: u32,
-}
-
-/// One recorded arrival slot: how many requests the source reported for
-/// `[t, t + slot)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlotSample {
-    /// Slot start, nanoseconds on the simulation clock.
-    pub t_ns: u64,
-    /// Slot width in nanoseconds.
-    pub slot_ns: u64,
-    /// Sampled (or replayed) arrival count for the slot.
-    pub count: u64,
-}
-
-/// An interned request mix: `(kind, weight-bits)` pairs in construction
-/// order. Weights keep their raw f64 bits so a decoded mix equals the
-/// recorded one exactly.
-pub type MixEntry = Vec<(RequestKind, u64)>;
-
-/// The recorded demand of one `WorkloadSource` instance: every rate, mix
-/// and slot query it answered, sorted by time.
+/// The recorded demand of one `WorkloadSource` instance: every rate query
+/// it answered, sorted by time.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Stream {
     /// Rate samples, ascending by `t_ns`, unique instants.
     pub rates: Vec<RateSample>,
-    /// Mix-change samples, ascending by `t_ns`, unique instants.
-    pub mixes: Vec<MixSample>,
-    /// Arrival slots, ascending by `(t_ns, slot_ns)`.
-    pub slots: Vec<SlotSample>,
 }
 
 impl Stream {
-    /// Earliest recorded instant across rates, mixes and slots.
+    /// Earliest recorded instant.
     #[must_use]
     pub fn first_t_ns(&self) -> Option<u64> {
-        let r = self.rates.first().map(|s| s.t_ns);
-        let m = self.mixes.first().map(|s| s.t_ns);
-        let s = self.slots.first().map(|s| s.t_ns);
-        [r, m, s].into_iter().flatten().min()
+        self.rates.first().map(|s| s.t_ns)
     }
 
-    /// Latest recorded instant (slot ends count as `t + slot`).
+    /// Latest recorded instant.
     #[must_use]
     pub fn last_t_ns(&self) -> Option<u64> {
-        let r = self.rates.last().map(|s| s.t_ns);
-        let m = self.mixes.last().map(|s| s.t_ns);
-        let s = self.slots.last().map(|s| s.t_ns.saturating_add(s.slot_ns));
-        [r, m, s].into_iter().flatten().max()
+        self.rates.last().map(|s| s.t_ns)
     }
 
     fn is_sorted(&self) -> bool {
         self.rates.windows(2).all(|w| w[0].t_ns < w[1].t_ns)
-            && self.mixes.windows(2).all(|w| w[0].t_ns < w[1].t_ns)
-            && self
-                .slots
-                .windows(2)
-                .all(|w| (w[0].t_ns, w[0].slot_ns) <= (w[1].t_ns, w[1].slot_ns))
     }
 }
 
@@ -169,8 +122,6 @@ pub struct WorkloadTrace {
     pub students: u32,
     /// `f64::to_bits` of the recorded source's peak rate.
     pub peak_rate_bits: u64,
-    /// Interned mix table; [`MixSample::mix`] indexes into this.
-    pub mixes: Vec<MixEntry>,
     /// One stream per demand source the recorded run created, in source
     /// creation order.
     pub streams: Vec<Stream>,
@@ -183,7 +134,6 @@ impl WorkloadTrace {
         WorkloadTrace {
             students,
             peak_rate_bits: peak_rate.to_bits(),
-            mixes: Vec::new(),
             streams: Vec::new(),
         }
     }
@@ -206,37 +156,8 @@ impl WorkloadTrace {
         self.streams.iter().filter_map(Stream::last_t_ns).max()
     }
 
-    /// Interns `pairs`, returning the existing index when an identical
-    /// mix is already in the table.
-    pub fn intern_mix(&mut self, pairs: MixEntry) -> u32 {
-        if let Some(i) = self.mixes.iter().position(|m| *m == pairs) {
-            return u32::try_from(i).expect("mix table fits u32");
-        }
-        self.mixes.push(pairs);
-        u32::try_from(self.mixes.len() - 1).expect("mix table fits u32")
-    }
-
-    /// Rebuilds the [`RequestMix`] interned at `index`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Malformed`] when the index is out of range
-    /// or the recorded weights no longer form a valid mix.
-    pub fn mix(&self, index: u32) -> Result<RequestMix, TraceError> {
-        let entry = self
-            .mixes
-            .get(index as usize)
-            .ok_or_else(|| TraceError::Malformed(format!("mix index {index} out of range")))?;
-        let pairs: Vec<(RequestKind, f64)> = entry
-            .iter()
-            .map(|&(k, bits)| (k, f64::from_bits(bits)))
-            .collect();
-        RequestMix::new(&pairs)
-            .map_err(|e| TraceError::Malformed(format!("interned mix {index} invalid: {e}")))
-    }
-
-    /// Checks structural invariants: non-empty cohort, sorted streams,
-    /// mix indices in range.
+    /// Checks structural invariants: non-empty cohort, finite peak,
+    /// sorted streams of finite, non-negative rates.
     ///
     /// # Errors
     ///
@@ -248,15 +169,19 @@ impl WorkloadTrace {
         if !self.peak_rate().is_finite() || self.peak_rate() < 0.0 {
             return Err(TraceError::Malformed("peak rate not finite".into()));
         }
-        let n_mixes = self.mixes.len() as u32;
         for (i, stream) in self.streams.iter().enumerate() {
             if !stream.is_sorted() {
                 return Err(TraceError::Malformed(format!("stream {i} not sorted")));
             }
-            if let Some(bad) = stream.mixes.iter().find(|m| m.mix >= n_mixes) {
+            if let Some(r) = stream
+                .rates
+                .iter()
+                .find(|r| !r.rate().is_finite() || r.rate() < 0.0)
+            {
                 return Err(TraceError::Malformed(format!(
-                    "stream {i} references mix {} of {n_mixes}",
-                    bad.mix
+                    "stream {i} rate {} at {} ns",
+                    r.rate(),
+                    r.t_ns
                 )));
             }
         }
@@ -265,7 +190,7 @@ impl WorkloadTrace {
 
     /// Stretches time by `factor` around the trace start: a factor of 2
     /// plays the recorded day at half speed (twice the wall-span), so
-    /// rates halve while every slot keeps its recorded arrival count.
+    /// rates halve and the demand each stretched span carries is kept.
     /// Times are scaled in fixed-point (ns ÷ 10⁹ resolution) to stay
     /// deterministic across platforms.
     ///
@@ -288,12 +213,8 @@ impl WorkloadTrace {
         }
         let scale_t = |t: u64| -> u64 {
             let rel = u128::from(t.saturating_sub(t0));
-            let scaled = rel * num / 1_000_000_000u128;
+            let scaled = rel.saturating_mul(num) / 1_000_000_000u128;
             t0.saturating_add(u64::try_from(scaled).unwrap_or(u64::MAX))
-        };
-        let scale_span = |d: u64| -> u64 {
-            let scaled = u128::from(d) * num / 1_000_000_000u128;
-            u64::try_from(scaled).unwrap_or(u64::MAX).max(1)
         };
         let inv = 1.0 / factor;
         let mut out = self.clone();
@@ -303,22 +224,15 @@ impl WorkloadTrace {
                 r.t_ns = scale_t(r.t_ns);
                 r.rate_bits = (r.rate() * inv).to_bits();
             }
-            for m in &mut stream.mixes {
-                m.t_ns = scale_t(m.t_ns);
-            }
-            for s in &mut stream.slots {
-                s.t_ns = scale_t(s.t_ns);
-                s.slot_ns = scale_span(s.slot_ns);
-            }
             dedup_stream(stream);
         }
         Ok(out)
     }
 
-    /// Scales demand amplitude by `factor`: slot counts round
-    /// deterministically, rates and the peak scale exactly, and the
-    /// cohort scales with a floor of one student — turning a recorded
-    /// 1k-student day into a synthetic million-student one.
+    /// Scales demand amplitude by `factor`: rates and the peak scale
+    /// exactly, and the cohort scales with a floor of one student —
+    /// turning a recorded 1k-student day into a synthetic million-student
+    /// one.
     ///
     /// # Errors
     ///
@@ -342,16 +256,13 @@ impl WorkloadTrace {
             for r in &mut stream.rates {
                 r.rate_bits = (r.rate() * factor).to_bits();
             }
-            for s in &mut stream.slots {
-                s.count = (s.count as f64 * factor).round() as u64;
-            }
         }
         Ok(out)
     }
 
     /// Keeps only the window `[from, to)` measured from the trace start,
-    /// re-anchoring each stream's rate and mix so a replay inside the
-    /// window still sees the value that was in force when it opens.
+    /// re-anchoring each stream's rate so a replay inside the window
+    /// still sees the value that was in force when it opens.
     /// Absolute instants are preserved — a clipped trace replays against
     /// the same simulation calendar as the original.
     ///
@@ -378,26 +289,12 @@ impl WorkloadTrace {
                     t_ns: lo,
                     rate_bits: r.rate_bits,
                 });
-            let anchor_mix = stream
-                .mixes
-                .iter()
-                .take_while(|m| m.t_ns <= lo)
-                .last()
-                .map(|m| MixSample {
-                    t_ns: lo,
-                    mix: m.mix,
-                });
             stream.rates.retain(|r| r.t_ns > lo && r.t_ns < hi);
-            stream.mixes.retain(|m| m.t_ns > lo && m.t_ns < hi);
-            stream.slots.retain(|s| s.t_ns >= lo && s.t_ns < hi);
             // Anchor only when the window actually contains demand;
             // otherwise the stream is dropped below.
             if stream.first_t_ns().is_some() {
                 if let Some(anchor) = anchor_rate {
                     stream.rates.insert(0, anchor);
-                }
-                if let Some(anchor) = anchor_mix {
-                    stream.mixes.insert(0, anchor);
                 }
             }
         }
@@ -418,28 +315,11 @@ impl WorkloadTrace {
 }
 
 /// Collapses duplicate instants after a morph rounded distinct recorded
-/// times onto one nanosecond: last-in-force wins for rates/mixes, slot
-/// counts merge by addition.
+/// times onto one nanosecond: the last rate in force wins.
 pub(crate) fn dedup_stream(stream: &mut Stream) {
     stream.rates.dedup_by(|next, prev| {
         if next.t_ns == prev.t_ns {
             prev.rate_bits = next.rate_bits;
-            true
-        } else {
-            false
-        }
-    });
-    stream.mixes.dedup_by(|next, prev| {
-        if next.t_ns == prev.t_ns {
-            prev.mix = next.mix;
-            true
-        } else {
-            false
-        }
-    });
-    stream.slots.dedup_by(|next, prev| {
-        if next.t_ns == prev.t_ns && next.slot_ns == prev.slot_ns {
-            prev.count += next.count;
             true
         } else {
             false
@@ -557,6 +437,11 @@ fn parse_hours(s: &str) -> Result<f64, TraceError> {
             "hours must be non-negative, got {s}"
         )));
     }
+    if v * 3_600e9 > u64::MAX as f64 {
+        return Err(TraceError::BadMorph(format!(
+            "{s} hours overflow the simulation clock"
+        )));
+    }
     Ok(v)
 }
 
@@ -566,10 +451,6 @@ mod tests {
 
     fn sample_trace() -> WorkloadTrace {
         let mut trace = WorkloadTrace::empty(1_000, 104.0);
-        let mix = trace.intern_mix(vec![
-            (RequestKind::VideoChunk, 45.0f64.to_bits()),
-            (RequestKind::QuizSubmit, 4.0f64.to_bits()),
-        ]);
         trace.streams.push(Stream {
             rates: vec![
                 RateSample {
@@ -581,22 +462,6 @@ mod tests {
                     rate_bits: 20.0f64.to_bits(),
                 },
             ],
-            mixes: vec![MixSample {
-                t_ns: 3_600_000_000_000,
-                mix,
-            }],
-            slots: vec![
-                SlotSample {
-                    t_ns: 3_600_000_000_000,
-                    slot_ns: 60_000_000_000,
-                    count: 600,
-                },
-                SlotSample {
-                    t_ns: 7_200_000_000_000,
-                    slot_ns: 60_000_000_000,
-                    count: 1_200,
-                },
-            ],
         });
         trace
     }
@@ -606,8 +471,11 @@ mod tests {
         let trace = sample_trace();
         assert_eq!(trace.validate(), Ok(()));
         let mut bad = trace.clone();
-        bad.streams[0].mixes[0].mix = 7;
+        bad.peak_rate_bits = f64::NAN.to_bits();
         assert!(matches!(bad.validate(), Err(TraceError::Malformed(_))));
+        let mut infinite = trace.clone();
+        infinite.streams[0].rates[1].rate_bits = f64::INFINITY.to_bits();
+        assert!(matches!(infinite.validate(), Err(TraceError::Malformed(_))));
         let mut unsorted = trace.clone();
         unsorted.streams[0].rates.reverse();
         assert!(matches!(unsorted.validate(), Err(TraceError::Malformed(_))));
@@ -617,18 +485,7 @@ mod tests {
     }
 
     #[test]
-    fn intern_mix_dedups() {
-        let mut trace = WorkloadTrace::empty(10, 1.0);
-        let a = trace.intern_mix(vec![(RequestKind::Login, 1.0f64.to_bits())]);
-        let b = trace.intern_mix(vec![(RequestKind::Login, 1.0f64.to_bits())]);
-        let c = trace.intern_mix(vec![(RequestKind::Login, 2.0f64.to_bits())]);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(trace.mixes.len(), 2);
-    }
-
-    #[test]
-    fn stretch_slows_time_and_preserves_counts() {
+    fn stretch_slows_time_and_thins_the_rate() {
         let trace = sample_trace();
         let slow = trace.time_stretch(2.0).unwrap();
         // Start anchored, the second sample lands twice as far out.
@@ -638,19 +495,18 @@ mod tests {
             3_600_000_000_000 + 2 * 3_600_000_000_000
         );
         assert_eq!(slow.streams[0].rates[0].rate(), 5.0);
-        assert_eq!(slow.streams[0].slots[0].count, 600);
-        assert_eq!(slow.streams[0].slots[0].slot_ns, 120_000_000_000);
         assert_eq!(slow.peak_rate(), 52.0);
+        // A huge factor saturates the clock instead of overflowing.
+        assert!(trace.time_stretch(1e300).is_ok());
         assert!(trace.time_stretch(0.0).is_err());
         assert!(trace.time_stretch(f64::NAN).is_err());
     }
 
     #[test]
-    fn scale_amplifies_counts_rates_and_cohort() {
+    fn scale_amplifies_rates_and_cohort() {
         let trace = sample_trace();
         let big = trace.amplitude_scale(1_000.0).unwrap();
         assert_eq!(big.students, 1_000_000);
-        assert_eq!(big.streams[0].slots[0].count, 600_000);
         assert_eq!(big.streams[0].rates[0].rate(), 10_000.0);
         assert_eq!(big.peak_rate(), 104_000.0);
         let tiny = trace.amplitude_scale(1e-9).unwrap();
@@ -671,7 +527,6 @@ mod tests {
         assert_eq!(s.rates.len(), 2);
         assert_eq!(s.rates[0].t_ns, 3_600_000_000_000 + 1_800_000_000_000);
         assert_eq!(s.rates[0].rate(), 10.0);
-        assert_eq!(s.slots.len(), 1);
         assert!(trace
             .clip(SimDuration::from_hours(2), SimDuration::from_hours(1))
             .is_err());
@@ -689,7 +544,6 @@ mod tests {
         );
         let trace = sample_trace();
         let morphed = spec.apply(&trace).unwrap();
-        assert_eq!(morphed.streams[0].slots[0].count, 1_200);
         // scale doubles the rate, stretch=0.5 doubles it again.
         assert_eq!(morphed.streams[0].rates[0].rate(), 40.0);
 
@@ -706,6 +560,10 @@ mod tests {
         assert!(MorphSpec::parse("warp=2").is_err());
         assert!(MorphSpec::parse("clip=5").is_err());
         assert!(MorphSpec::parse("scale=zero").is_err());
+        assert!(
+            MorphSpec::parse("clip=0..1e300").is_err(),
+            "beyond the clock"
+        );
     }
 
     #[test]
@@ -715,7 +573,6 @@ mod tests {
             TraceError::BadVersion(9),
             TraceError::Truncated,
             TraceError::Malformed("x".into()),
-            TraceError::UnknownKind("y".into()),
             TraceError::BadMorph("z".into()),
             TraceError::Io("p".into()),
             TraceError::HeaderConflict { first: 1, other: 2 },

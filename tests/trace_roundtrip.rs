@@ -8,6 +8,9 @@
 //! * replaying the recorded trace reproduces the generator run's
 //!   sections and metrics exactly (E12's Poisson-driven surge and E16's
 //!   fluid resilience arms);
+//! * a trace replays the demand curve, not the counts: consumers draw
+//!   arrivals from their own seed lineage, so a replay at another seed
+//!   equals the generator at that seed;
 //! * replay stays byte-identical at any thread count (runner) and any
 //!   shard count (E16's parallel arms), exactly like the generator path.
 
@@ -54,6 +57,20 @@ fn e12_replay_reproduces_the_generator_run_byte_for_byte() {
     assert_eq!(e12_section(&replayed), plain, "replay = generator");
     // A second replay over the same scenario rebinds streams by time.
     assert_eq!(e12_section(&replayed), plain, "replay is repeatable");
+}
+
+#[test]
+fn e12_replay_at_another_seed_equals_the_generator_at_that_seed() {
+    let (_, trace) = record(&Scenario::university(42), e12_section);
+    let replayed = Scenario::university(42)
+        .with_workload_trace(trace)
+        .expect("recorded trace validates")
+        .with_seed(43);
+    assert_eq!(
+        e12_section(&replayed),
+        e12_section(&Scenario::university(43)),
+        "replay at seed 43 = generator at seed 43"
+    );
 }
 
 #[test]

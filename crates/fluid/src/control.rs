@@ -1,46 +1,49 @@
-//! Per-component fidelity switching.
+//! Fidelity switching for auto mode.
 //!
-//! A [`FidelityController`] decides, tick by tick, whether a component
-//! runs fluid or event-level. Discrete triggers (chaos campaign active,
-//! breaker transition, autoscale decision boundary) force event
-//! fidelity immediately; a utilization threshold with hysteresis covers
-//! the statistical case (a near-saturated queue is exactly where the
-//! mean-field approximation is least trustworthy). After any trigger
-//! the controller holds event fidelity for a minimum number of ticks so
-//! a flapping signal cannot thrash the materialize/absorb boundary.
+//! A [`FidelityController`] decides, tick by tick, whether the station
+//! runs fluid or event-level. A surge boundary (a fast rate swing on a
+//! hot station) forces event fidelity immediately; a utilization
+//! threshold with hysteresis covers the statistical case (a
+//! near-saturated queue is exactly where the mean-field approximation
+//! is least trustworthy). After any trigger the controller holds event
+//! fidelity for a minimum number of ticks so a flapping signal cannot
+//! thrash the materialize/absorb boundary.
 
 use elc_trace::{Field, Level};
 
-/// Which fidelity a component runs at right now.
+/// Utilization at or above which the station goes to event fidelity.
+const ENTER_UTIL: f64 = 0.85;
+
+/// Utilization at or below which a held event segment returns to fluid.
+pub(crate) const EXIT_UTIL: f64 = 0.70;
+
+/// Trigger-free ticks event fidelity is held for before it may end.
+const HOLD_TICKS: u32 = 5;
+
+/// Which fidelity the station runs at right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
+pub(crate) enum Mode {
     /// Flow integration via [`FluidQueue`](crate::FluidQueue).
     Fluid,
     /// Per-request events.
     Event,
 }
 
-/// What pushed a component to event fidelity.
+/// What moved the station between fidelities.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SwitchReason {
-    /// A chaos campaign is active on this component.
-    Chaos,
-    /// A circuit breaker changed state.
-    Breaker,
-    /// An autoscaler is about to make (or just made) a decision.
+enum SwitchReason {
+    /// The offered rate is about to swing fast on a hot station.
     ScaleBoundary,
     /// Utilization crossed the enter threshold.
     Utilization,
-    /// All triggers clear and utilization back under the exit
-    /// threshold — returning to fluid.
+    /// No trigger and utilization back under the exit threshold —
+    /// returning to fluid.
     Steady,
 }
 
 impl SwitchReason {
     fn as_str(self) -> &'static str {
         match self {
-            SwitchReason::Chaos => "chaos",
-            SwitchReason::Breaker => "breaker",
             SwitchReason::ScaleBoundary => "scale-boundary",
             SwitchReason::Utilization => "utilization",
             SwitchReason::Steady => "steady",
@@ -48,123 +51,53 @@ impl SwitchReason {
     }
 }
 
-/// The per-tick observations the controller decides from.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Signals {
-    /// A chaos campaign currently targets this component.
-    pub chaos: bool,
-    /// A circuit breaker transitioned this tick.
-    pub breaker: bool,
-    /// An autoscale decision fires this tick (fleet size may change).
-    pub scale_boundary: bool,
-    /// Offered rate over capacity.
-    pub utilization: f64,
-}
-
-impl Signals {
-    /// No discrete triggers — just a utilization reading.
-    #[must_use]
-    pub fn steady(utilization: f64) -> Self {
-        Signals {
-            chaos: false,
-            breaker: false,
-            scale_boundary: false,
-            utilization,
-        }
-    }
-}
-
-/// Hysteresis switch between fluid and event fidelity for one component.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FidelityController {
+/// Hysteresis switch between fluid and event fidelity: event fidelity
+/// is entered on a surge or at 85% utilization and left only once
+/// utilization falls to 70% or below after five trigger-free ticks.
+#[derive(Debug)]
+pub(crate) struct FidelityController {
     mode: Mode,
-    enter_util: f64,
-    exit_util: f64,
-    hold_ticks: u32,
     held: u32,
     switches: u32,
 }
 
 impl FidelityController {
-    /// Creates a controller starting in fluid mode.
-    ///
-    /// Event fidelity is entered at `utilization >= enter_util` (or any
-    /// discrete trigger) and left only once utilization falls to
-    /// `exit_util` or below AND `hold_ticks` trigger-free ticks have
-    /// passed.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= exit_util < enter_util` and both are finite.
-    #[must_use]
-    pub fn new(enter_util: f64, exit_util: f64, hold_ticks: u32) -> Self {
-        assert!(
-            enter_util.is_finite() && exit_util.is_finite() && exit_util >= 0.0,
-            "utilization thresholds must be finite and non-negative"
-        );
-        assert!(
-            exit_util < enter_util,
-            "hysteresis needs exit ({exit_util}) < enter ({enter_util})"
-        );
+    /// A controller starting in fluid mode.
+    pub(crate) fn new() -> Self {
         FidelityController {
             mode: Mode::Fluid,
-            enter_util,
-            exit_util,
-            hold_ticks,
             held: 0,
             switches: 0,
         }
     }
 
-    /// The calibrated default: enter event fidelity at 85% utilization,
-    /// return to fluid below 70%, hold event mode ≥ 5 ticks.
-    #[must_use]
-    pub fn standard() -> Self {
-        FidelityController::new(0.85, 0.70, 5)
-    }
-
-    /// Current fidelity of the component.
-    #[must_use]
-    pub fn mode(&self) -> Mode {
-        self.mode
-    }
-
     /// How many fluid↔event transitions have happened.
-    #[must_use]
-    pub fn switches(&self) -> u32 {
+    pub(crate) fn switches(&self) -> u32 {
         self.switches
     }
 
-    /// Decides the fidelity for the tick starting at `now_ns`. Emits a
-    /// `fluid.switch` trace event on every transition.
-    pub fn decide(&mut self, now_ns: u64, signals: &Signals) -> Mode {
-        let trigger = if signals.chaos {
-            Some(SwitchReason::Chaos)
-        } else if signals.breaker {
-            Some(SwitchReason::Breaker)
-        } else if signals.scale_boundary {
+    /// Decides the fidelity for the tick starting at `now_ns`, given
+    /// whether a surge boundary falls in it and the offered rate over
+    /// capacity. Emits a `fluid.switch` trace event on every transition.
+    pub(crate) fn decide(&mut self, now_ns: u64, surge: bool, utilization: f64) -> Mode {
+        let trigger = if surge {
             Some(SwitchReason::ScaleBoundary)
-        } else if signals.utilization >= self.enter_util {
+        } else if utilization >= ENTER_UTIL {
             Some(SwitchReason::Utilization)
         } else {
             None
         };
         match (self.mode, trigger) {
             (Mode::Fluid, Some(reason)) => {
-                self.held = self.hold_ticks;
-                self.transition(now_ns, Mode::Event, reason, signals.utilization);
+                self.held = HOLD_TICKS;
+                self.transition(now_ns, Mode::Event, reason, utilization);
             }
-            (Mode::Event, Some(_)) => self.held = self.hold_ticks,
+            (Mode::Event, Some(_)) => self.held = HOLD_TICKS,
             (Mode::Event, None) => {
                 if self.held > 0 {
                     self.held -= 1;
-                } else if signals.utilization <= self.exit_util {
-                    self.transition(
-                        now_ns,
-                        Mode::Fluid,
-                        SwitchReason::Steady,
-                        signals.utilization,
-                    );
+                } else if utilization <= EXIT_UTIL {
+                    self.transition(now_ns, Mode::Fluid, SwitchReason::Steady, utilization);
                 }
             }
             (Mode::Fluid, None) => {}
@@ -195,59 +128,42 @@ impl FidelityController {
 mod tests {
     use super::*;
 
+    /// Decides `HOLD_TICKS` trigger-free ticks at `utilization`, all of
+    /// which must stay at event fidelity.
+    fn hold(c: &mut FidelityController, utilization: f64) {
+        for t in 0..HOLD_TICKS {
+            assert_eq!(c.decide(u64::from(t), false, utilization), Mode::Event);
+        }
+    }
+
     #[test]
     fn utilization_hysteresis_holds_between_thresholds() {
-        let mut c = FidelityController::new(0.8, 0.6, 0);
-        assert_eq!(c.decide(0, &Signals::steady(0.5)), Mode::Fluid);
-        assert_eq!(c.decide(1, &Signals::steady(0.85)), Mode::Event);
+        let mut c = FidelityController::new();
+        assert_eq!(c.decide(0, false, 0.5), Mode::Fluid);
+        assert_eq!(c.decide(1, false, ENTER_UTIL), Mode::Event);
+        hold(&mut c, 0.5);
         // In the hysteresis band: stays event.
-        assert_eq!(c.decide(2, &Signals::steady(0.7)), Mode::Event);
-        assert_eq!(c.decide(3, &Signals::steady(0.55)), Mode::Fluid);
+        assert_eq!(c.decide(7, false, 0.75), Mode::Event);
+        assert_eq!(c.decide(8, false, EXIT_UTIL), Mode::Fluid);
         assert_eq!(c.switches(), 2);
     }
 
     #[test]
-    fn discrete_triggers_force_event_mode() {
-        for make in [
-            |u| Signals {
-                chaos: true,
-                ..Signals::steady(u)
-            },
-            |u| Signals {
-                breaker: true,
-                ..Signals::steady(u)
-            },
-            |u| Signals {
-                scale_boundary: true,
-                ..Signals::steady(u)
-            },
-        ] {
-            let mut c = FidelityController::new(0.8, 0.6, 0);
-            assert_eq!(c.decide(0, &make(0.1)), Mode::Event, "trigger at low util");
-            assert_eq!(c.decide(1, &Signals::steady(0.1)), Mode::Fluid);
-        }
+    fn a_surge_forces_event_mode_and_is_held() {
+        let mut c = FidelityController::new();
+        assert_eq!(c.decide(0, true, 0.1), Mode::Event, "surge at low util");
+        hold(&mut c, 0.1);
+        assert_eq!(c.decide(6, false, 0.1), Mode::Fluid);
+        assert_eq!(c.switches(), 2);
     }
 
     #[test]
-    fn hold_ticks_debounce_the_return_to_fluid() {
-        let mut c = FidelityController::new(0.8, 0.6, 3);
-        c.decide(
-            0,
-            &Signals {
-                chaos: true,
-                ..Signals::steady(0.2)
-            },
-        );
-        assert_eq!(c.mode(), Mode::Event);
-        for t in 1..=3 {
-            assert_eq!(c.decide(t, &Signals::steady(0.2)), Mode::Event, "held");
-        }
-        assert_eq!(c.decide(4, &Signals::steady(0.2)), Mode::Fluid);
-    }
-
-    #[test]
-    #[should_panic(expected = "hysteresis")]
-    fn rejects_inverted_thresholds() {
-        let _ = FidelityController::new(0.5, 0.7, 1);
+    fn a_trigger_during_the_hold_restarts_it() {
+        let mut c = FidelityController::new();
+        c.decide(0, true, 0.1);
+        c.decide(1, false, 0.1);
+        assert_eq!(c.decide(2, false, 0.9), Mode::Event);
+        hold(&mut c, 0.1);
+        assert_eq!(c.decide(8, false, 0.1), Mode::Fluid);
     }
 }

@@ -2,24 +2,26 @@
 //! driven by a rate curve, simulated at event, fluid or auto fidelity.
 //!
 //! This is the execution core behind the national-scale experiment
-//! (E18) and the `a5_hotpath` fluid benches. The same station — `c`
-//! servers with deterministic service time and a bounded waiting room —
-//! is simulated three ways:
+//! (E18) and the `a5_hotpath` fluid benches. The station — `c` servers
+//! with deterministic service time and a bounded waiting room — has two
+//! representations, and [`run`] steps one of them per tick:
 //!
-//! * **event**: every request is an individual arrival (Poisson
-//!   arrivals per tick, uniform jitter, FIFO waiting room) with its own
-//!   completion. The service time is constant, so requests finish in the
-//!   order they start and the station keeps its in-service requests as
-//!   a FIFO of completion times instead of running an event kernel; it
-//!   executes events in the order `elc_simcore::Simulation` would (see
-//!   `station.rs`). Exact, and linear in request count.
-//! * **fluid**: a [`FluidQueue`] integrates arrival/service flows per
-//!   tick; cost is per tick, independent of request volume.
-//! * **auto**: a [`FidelityController`] keeps the station fluid in
-//!   steady state and materializes the backlog into a real event-level
-//!   station (via the station's RNG lineage) around utilization spikes
-//!   and surge boundaries, absorbing the station back into fluid when
-//!   the crisis passes.
+//! * the **event station**: every request is an individual arrival
+//!   (Poisson arrivals per tick, uniform jitter, FIFO waiting room) with
+//!   its own completion. The service time is constant, so requests
+//!   finish in the order they start and the station keeps its in-service
+//!   requests as a FIFO of completion times instead of running an event
+//!   kernel; it executes events in the order `elc_simcore::Simulation`
+//!   would (see `station.rs`). Exact, and linear in request count.
+//! * the **fluid queue**: a [`FluidQueue`] integrates arrival/service
+//!   flows per tick; cost is per tick, independent of request volume.
+//!
+//! Event fidelity steps the event station on every tick and fluid
+//! fidelity the fluid queue. Auto fidelity asks a `FidelityController`
+//! each tick: it keeps the station fluid in steady state, materializes
+//! the backlog into an event station (through the station's RNG
+//! lineage) around utilization spikes and surge boundaries, and absorbs
+//! the event station back into fluid when the crisis passes.
 //!
 //! Determinism: all randomness flows from the caller's [`SimRng`]
 //! through fixed `derive` labels (`arrivals`, `materialize`), so a seed
@@ -29,10 +31,13 @@ use elc_simcore::metrics::Histogram;
 use elc_simcore::rng::SimRng;
 use elc_simcore::time::{SimDuration, SimTime};
 
-use crate::control::{FidelityController, Mode, Signals};
+use crate::control::{FidelityController, Mode, EXIT_UTIL};
 use crate::fidelity::Fidelity;
 use crate::queue::FluidQueue;
 use crate::station::{Arrivals, Station};
+
+/// Fixed integration substeps per tick of the fluid queue.
+const SUBSTEPS: u32 = 4;
 
 /// Station and solver parameters for one engine run.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,8 +49,8 @@ pub struct EngineConfig {
     pub start: SimTime,
     /// Simulated span.
     pub horizon: SimDuration,
-    /// Coarse tick: arrival-sampling slot in event mode, integration
-    /// step in fluid mode.
+    /// Coarse tick: arrival-sampling slot of the event station,
+    /// integration step of the fluid queue.
     pub tick: SimDuration,
     /// Pooled identical servers.
     pub servers: u64,
@@ -53,8 +58,6 @@ pub struct EngineConfig {
     pub service_time: SimDuration,
     /// Waiting-room size in requests; arrivals beyond it are shed.
     pub queue_limit: u64,
-    /// Fixed integration substeps per tick in fluid mode.
-    pub substeps: u32,
 }
 
 impl EngineConfig {
@@ -87,7 +90,6 @@ impl EngineConfig {
             servers,
             service_time,
             queue_limit: (capacity * 30.0).ceil() as u64,
-            substeps: 4,
         }
     }
 
@@ -145,6 +147,39 @@ impl EngineReport {
     }
 }
 
+/// Utilization floor under which a rate swing is not a surge trigger:
+/// below it the waiting room is empty on both sides of the step, so the
+/// fluid integration absorbs it exactly. A provisioned station (E18
+/// sizes for 60% peak utilization) must not burn event ticks on every
+/// hourly step of the diurnal table. It is the controller's exit
+/// threshold, so a surge-entered segment can always drain back to fluid.
+const SURGE_UTIL_FLOOR: f64 = EXIT_UTIL;
+
+/// What the run has counted outside the fluid queue: the tallies of
+/// every event segment that has ended, and the latency of every request
+/// served at either fidelity.
+#[derive(Debug, Default)]
+struct Tally {
+    offered: f64,
+    served: f64,
+    shed: f64,
+    events: u64,
+    latency: Histogram,
+}
+
+impl Tally {
+    /// Folds an ended event segment's tallies in and returns the
+    /// requests still waiting or in service.
+    fn fold(&mut self, mut st: Station) -> u64 {
+        self.events += st.events;
+        self.offered += st.offered as f64;
+        self.served += st.served as f64;
+        self.shed += st.shed as f64;
+        self.latency.merge(st.latency());
+        st.in_system()
+    }
+}
+
 /// Runs the station at the configured fidelity over the horizon.
 ///
 /// `rate_at` is the offered-rate curve (requests/second) on the
@@ -158,118 +193,20 @@ impl EngineReport {
 pub fn run(cfg: &EngineConfig, rate_at: &dyn Fn(SimTime) -> f64, rng: &mut SimRng) -> EngineReport {
     assert!(cfg.servers > 0, "need at least one server");
     assert!(!cfg.tick.is_zero(), "tick must be positive");
-    match cfg.fidelity {
-        Fidelity::Event => run_event(cfg, rate_at, rng),
-        Fidelity::Fluid => run_fluid(cfg, rate_at, rng),
-        Fidelity::Auto => run_auto(cfg, rate_at, rng),
-    }
-}
-
-fn run_event(
-    cfg: &EngineConfig,
-    rate_at: &dyn Fn(SimTime) -> f64,
-    rng: &mut SimRng,
-) -> EngineReport {
-    let mut arr_rng = rng.derive("arrivals");
-    let mut st = Station::new(cfg);
-    let mut arrivals = Arrivals::default();
-    let tick_s = cfg.tick.as_secs_f64();
     let capacity = cfg.capacity_rps();
-    let mut util_sum = 0.0;
-    let ticks = cfg.ticks();
-    for i in 0..ticks {
-        let t = cfg.start + SimDuration::from_nanos(cfg.tick.as_nanos() * i);
-        let rate = rate_at(t);
-        util_sum += rate / capacity;
-        st.run_tick(
-            arrivals.sample(&mut arr_rng, rate * tick_s, cfg.tick),
-            cfg.tick,
-        );
-    }
-    EngineReport {
-        fidelity: Fidelity::Event,
-        offered: st.offered as f64,
-        served: st.served as f64,
-        shed: st.shed as f64,
-        p95_latency_s: st.latency().p95(),
-        mean_utilization: util_sum / ticks as f64,
-        peak_backlog: st.peak_queue as f64,
-        events_executed: st.events,
-        fluid_ticks: 0,
-        event_ticks: ticks,
-        switches: 0,
-        materialized: 0,
-    }
-}
-
-fn run_fluid(
-    cfg: &EngineConfig,
-    rate_at: &dyn Fn(SimTime) -> f64,
-    _rng: &mut SimRng,
-) -> EngineReport {
-    let capacity = cfg.capacity_rps();
-    let mut fq = FluidQueue::new(1, capacity, cfg.queue_limit as f64);
-    let mut latency = Histogram::new();
-    let mut util_sum = 0.0;
-    let mut peak_backlog = 0.0f64;
-    let service_s = cfg.service_time.as_secs_f64();
-    let ticks = cfg.ticks();
-    for i in 0..ticks {
-        let t = cfg.start + SimDuration::from_nanos(cfg.tick.as_nanos() * i);
-        let flow = fq.step(cfg.tick, &[rate_at(t)], cfg.substeps);
-        util_sum += flow.utilization;
-        peak_backlog = peak_backlog.max(flow.backlog);
-        let served = flow.served.round() as u64;
-        if served > 0 {
-            latency.record_n(service_s + fq.wait_estimate_s(), served);
-        }
-    }
-    EngineReport {
-        fidelity: Fidelity::Fluid,
-        offered: fq.offered_total(),
-        served: fq.served_total(),
-        shed: fq.shed_total(),
-        p95_latency_s: latency.p95(),
-        mean_utilization: util_sum / ticks as f64,
-        peak_backlog,
-        events_executed: 0,
-        fluid_ticks: ticks,
-        event_ticks: 0,
-        switches: 0,
-        materialized: 0,
-    }
-}
-
-/// Utilization floor under which a rate swing is not a surge trigger:
-/// below it the waiting room is empty on both sides of the step, so the
-/// fluid integration absorbs it exactly. A provisioned station (E18
-/// sizes for 60% peak utilization) must not burn event ticks on every
-/// hourly step of the diurnal table. Matches the controller's exit
-/// threshold so a surge-entered segment can always drain back to fluid.
-const SURGE_UTIL_FLOOR: f64 = 0.70;
-
-fn run_auto(
-    cfg: &EngineConfig,
-    rate_at: &dyn Fn(SimTime) -> f64,
-    rng: &mut SimRng,
-) -> EngineReport {
-    let capacity = cfg.capacity_rps();
-    let mut fq = FluidQueue::new(1, capacity, cfg.queue_limit as f64);
-    let mut controller = FidelityController::standard();
+    let mut fq = FluidQueue::new(capacity, cfg.queue_limit as f64);
+    let mut controller = FidelityController::new();
     let mut arr_rng = rng.derive("arrivals");
     let mut mat_rng = rng.derive("materialize");
-    let mut latency = Histogram::new();
+    let mut arrivals = Arrivals::default();
+    let mut tally = Tally::default();
     let mut util_sum = 0.0;
     let mut peak_backlog = 0.0f64;
-    let mut offered = 0.0;
-    let mut served = 0.0;
-    let mut shed = 0.0;
-    let mut events_executed = 0u64;
     let mut fluid_ticks = 0u64;
     let mut event_ticks = 0u64;
     let mut materialized = 0u64;
-    let mut segment: Option<Station> = None;
-    let mut arrivals = Arrivals::default();
+    // Event fidelity runs one event segment over the whole horizon.
+    let mut segment = (cfg.fidelity == Fidelity::Event).then(|| Station::new(cfg));
     let service_s = cfg.service_time.as_secs_f64();
     let tick_s = cfg.tick.as_secs_f64();
     let ticks = cfg.ticks();
@@ -278,50 +215,46 @@ fn run_auto(
         let rate = rate_at(t);
         let utilization = rate / capacity;
         util_sum += utilization;
-        // A fast rate swing is a surge boundary — but only when the
-        // station is running hot (see SURGE_UTIL_FLOOR).
-        let next_rate = rate_at(t + cfg.tick);
-        let next_util = next_rate / capacity;
-        let surge = (next_rate - rate).abs() / capacity > 0.05
-            && utilization.max(next_util) > SURGE_UTIL_FLOOR;
-        let signals = Signals {
-            chaos: false,
-            breaker: false,
-            scale_boundary: surge,
-            utilization,
+        let mode = match cfg.fidelity {
+            Fidelity::Event => Mode::Event,
+            Fidelity::Fluid => Mode::Fluid,
+            Fidelity::Auto => {
+                // A fast rate swing is a surge boundary — but only when
+                // the station is running hot (see SURGE_UTIL_FLOOR).
+                let next_rate = rate_at(t + cfg.tick);
+                let next_util = next_rate / capacity;
+                let surge = (next_rate - rate).abs() / capacity > 0.05
+                    && utilization.max(next_util) > SURGE_UTIL_FLOOR;
+                controller.decide(t.as_nanos(), surge, utilization)
+            }
         };
-        let mode = controller.decide(t.as_nanos(), &signals);
         match mode {
             Mode::Fluid => {
-                if let Some(mut st) = segment.take() {
-                    // Event→fluid: fold the segment's tallies in and
-                    // absorb waiting + in-flight requests back as backlog.
-                    events_executed += st.events;
-                    offered += st.offered as f64;
-                    served += st.served as f64;
-                    shed += st.shed as f64;
-                    latency.merge(st.latency());
-                    fq.absorb(&[st.in_system()]);
+                if let Some(st) = segment.take() {
+                    // Event→fluid: absorb waiting + in-flight requests
+                    // back as backlog.
+                    fq.absorb(tally.fold(st));
                 }
-                let flow = fq.step(cfg.tick, &[rate], cfg.substeps);
+                let flow = fq.step(cfg.tick, rate, SUBSTEPS);
                 peak_backlog = peak_backlog.max(flow.backlog);
                 let flow_served = flow.served.round() as u64;
                 if flow_served > 0 {
-                    latency.record_n(service_s + fq.wait_estimate_s(), flow_served);
+                    tally
+                        .latency
+                        .record_n(service_s + fq.wait_estimate_s(), flow_served);
                 }
                 fluid_ticks += 1;
             }
             Mode::Event => {
-                if segment.is_none() {
+                let st = segment.get_or_insert_with(|| {
                     // Fluid→event: materialize the backlog into waiting
-                    // requests through this component's RNG lineage.
-                    // Their fluid inflow is already in `fq.offered_total`,
-                    // so the station's `offered` counts fresh arrivals only.
-                    let counts = fq.materialize(&mut mat_rng, t.as_nanos());
-                    materialized += counts[0];
-                    segment = Some(Station::with_backlog(cfg, counts[0]));
-                }
-                let st = segment.as_mut().expect("segment just ensured");
+                    // requests through this station's RNG lineage. Their
+                    // fluid inflow is already in `fq.offered_total`, so
+                    // the station's `offered` counts fresh arrivals only.
+                    let backlog = fq.materialize(&mut mat_rng, t.as_nanos());
+                    materialized += backlog;
+                    Station::with_backlog(cfg, backlog)
+                });
                 st.run_tick(
                     arrivals.sample(&mut arr_rng, rate * tick_s, cfg.tick),
                     cfg.tick,
@@ -331,23 +264,18 @@ fn run_auto(
             }
         }
     }
-    if let Some(mut st) = segment.take() {
-        events_executed += st.events;
-        offered += st.offered as f64;
-        served += st.served as f64;
-        shed += st.shed as f64;
-        latency.merge(st.latency());
-        fq.absorb(&[st.in_system()]);
+    if let Some(st) = segment.take() {
+        fq.absorb(tally.fold(st));
     }
     EngineReport {
-        fidelity: Fidelity::Auto,
-        offered: offered + fq.offered_total(),
-        served: served + fq.served_total(),
-        shed: shed + fq.shed_total(),
-        p95_latency_s: latency.p95(),
+        fidelity: cfg.fidelity,
+        offered: tally.offered + fq.offered_total(),
+        served: tally.served + fq.served_total(),
+        shed: tally.shed + fq.shed_total(),
+        p95_latency_s: tally.latency.p95(),
         mean_utilization: util_sum / ticks as f64,
         peak_backlog,
-        events_executed,
+        events_executed: tally.events,
         fluid_ticks,
         event_ticks,
         switches: controller.switches(),
@@ -427,6 +355,29 @@ mod tests {
             event.shed_fraction(),
             auto.shed_fraction()
         );
+    }
+
+    #[test]
+    fn fluid_saturating_day_is_pinned() {
+        // The day `saturating_day_pin` runs at auto fidelity, integrated
+        // as flow throughout: the evening fills the waiting room and sheds.
+        let config = EngineConfig::sized_for(600.0, 0.7, Fidelity::Fluid);
+        let mut rng = SimRng::seed(7).derive("engine-test");
+        let expect = EngineReport {
+            fidelity: Fidelity::Fluid,
+            offered: 31101424.21875,
+            served: 30803407.5,
+            shed: 298016.71875000006,
+            p95_latency_s: 29.9866821457648,
+            mean_utilization: 0.4185699857174582,
+            peak_backlog: 25800.0,
+            events_executed: 0,
+            fluid_ticks: 1440,
+            event_ticks: 0,
+            switches: 0,
+            materialized: 0,
+        };
+        assert_eq!(run(&config, &day_rate(900.0), &mut rng), expect);
     }
 
     #[test]
@@ -524,6 +475,21 @@ mod tests {
                 materialized,
             };
             assert_eq!(report, expect, "seed {seed}");
+            // The request ledger across real materializations: whatever
+            // is neither served nor shed is still in the station, which
+            // holds at most `servers + queue_limit` requests. Each
+            // fluid→event switch rounds the backlog to whole requests,
+            // moving the balance by less than one request. Switches
+            // alternate starting with fluid→event.
+            let m = f64::from(report.switches.div_ceil(2));
+            let in_system = report.offered - report.served - report.shed;
+            let room = (config.servers + config.queue_limit) as f64;
+            assert!(
+                (-m..=room + m).contains(&in_system),
+                "seed {seed}: in_system = {in_system} outside [{}, {}]",
+                -m,
+                room + m
+            );
         }
     }
 

@@ -13,8 +13,8 @@ pub enum Fidelity {
     /// Pure flow integration on coarse ticks — deterministic rates, no
     /// per-request events. ~100× cheaper on the diurnal bulk.
     Fluid,
-    /// Fluid in steady state, materialized to event level around chaos
-    /// campaigns, breaker transitions, autoscale boundaries and high
+    /// Fluid in steady state, materialized to event level around surge
+    /// boundaries (fast rate swings on a hot station) and high
     /// utilization.
     Auto,
 }

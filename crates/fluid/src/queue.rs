@@ -1,20 +1,17 @@
-//! Per-class fluid state for one queueing component.
+//! Fluid state for one queueing station.
 //!
-//! A [`FluidQueue`] replaces a component's per-request queue with one
-//! non-negative backlog variable per request class, advanced by a
-//! fixed-step flow solver: over a substep `h` the class receives
-//! `rate × h` fluid, the pool drains `capacity × h` shared across
-//! classes in proportion to demand (FIFO fluid — no class priority,
-//! matching the event-level stations), and backlog beyond the waiting-
+//! A [`FluidQueue`] replaces the station's per-request queue with one
+//! non-negative backlog variable advanced by a fixed-step flow solver:
+//! over a substep `h` the backlog receives `rate × h` fluid, the pool
+//! drains up to `capacity × h` of it, and backlog beyond the waiting-
 //! room limit is shed. Everything is `f64` flow; the invariants the
 //! proptests pin are
 //!
 //! * backlog is never negative,
-//! * mass is conserved: `offered = served + shed + backlog` at all
-//!   times, including across [`FluidQueue::materialize`] /
-//!   [`FluidQueue::absorb`] fidelity boundaries (materialized requests
-//!   count as backlog handed to the event layer, and return through
-//!   `absorb` when the component goes fluid again).
+//! * mass is conserved: `offered = served + shed + backlog` after every
+//!   step, and across a [`FluidQueue::materialize`] /
+//!   [`FluidQueue::absorb`] round trip to within the one request that
+//!   materialization rounds.
 
 use elc_simcore::rng::SimRng;
 use elc_simcore::time::SimDuration;
@@ -25,30 +22,23 @@ use elc_trace::{Field, Level};
 pub struct FlowTick {
     /// Fluid served during the step (requests).
     pub served: f64,
-    /// Fluid shed during the step because the waiting room was full.
-    pub shed: f64,
-    /// Total backlog after the step (requests).
+    /// Backlog after the step (requests).
     pub backlog: f64,
-    /// Offered rate over capacity for the step (can exceed 1).
-    pub utilization: f64,
 }
 
-/// Per-class fluid state variables for one queueing component.
+/// Fluid state variables for one queueing station.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FluidQueue {
     capacity_rps: f64,
     backlog_limit: f64,
-    backlog: Vec<f64>,
+    backlog: f64,
     offered: f64,
     served: f64,
     shed: f64,
-    /// Fluid currently handed to the event layer via `materialize` and
-    /// not yet returned through `absorb` — part of the mass balance.
-    materialized_out: f64,
 }
 
 impl FluidQueue {
-    /// Creates a fluid queue over `classes` request classes.
+    /// Creates an empty fluid queue.
     ///
     /// `capacity_rps` is the pooled service capacity in requests/second;
     /// `backlog_limit` is the waiting-room size in requests (fluid
@@ -56,11 +46,10 @@ impl FluidQueue {
     ///
     /// # Panics
     ///
-    /// Panics if `classes` is zero, `capacity_rps` is not positive and
-    /// finite, or `backlog_limit` is negative/NaN.
+    /// Panics if `capacity_rps` is not positive and finite, or
+    /// `backlog_limit` is negative/NaN.
     #[must_use]
-    pub fn new(classes: usize, capacity_rps: f64, backlog_limit: f64) -> Self {
-        assert!(classes > 0, "need at least one request class");
+    pub fn new(capacity_rps: f64, backlog_limit: f64) -> Self {
         assert!(
             capacity_rps.is_finite() && capacity_rps > 0.0,
             "capacity must be positive and finite, got {capacity_rps}"
@@ -72,53 +61,17 @@ impl FluidQueue {
         FluidQueue {
             capacity_rps,
             backlog_limit,
-            backlog: vec![0.0; classes],
+            backlog: 0.0,
             offered: 0.0,
             served: 0.0,
             shed: 0.0,
-            materialized_out: 0.0,
         }
     }
 
-    /// Number of request classes.
-    #[must_use]
-    pub fn classes(&self) -> usize {
-        self.backlog.len()
-    }
-
-    /// Current pooled capacity in requests/second.
-    #[must_use]
-    pub fn capacity_rps(&self) -> f64 {
-        self.capacity_rps
-    }
-
-    /// Re-sizes the pool (autoscaling in fluid mode).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `capacity_rps` is positive and finite.
-    pub fn set_capacity(&mut self, capacity_rps: f64) {
-        assert!(
-            capacity_rps.is_finite() && capacity_rps > 0.0,
-            "capacity must be positive and finite, got {capacity_rps}"
-        );
-        self.capacity_rps = capacity_rps;
-    }
-
-    /// Total backlog across classes (requests).
+    /// Current backlog (requests).
     #[must_use]
     pub fn backlog(&self) -> f64 {
-        self.backlog.iter().sum()
-    }
-
-    /// Backlog of one class.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `class` is out of range.
-    #[must_use]
-    pub fn class_backlog(&self, class: usize) -> f64 {
-        self.backlog[class]
+        self.backlog
     }
 
     /// Cumulative offered fluid (requests).
@@ -139,144 +92,85 @@ impl FluidQueue {
         self.shed
     }
 
-    /// Fluid handed to the event layer by [`materialize`] and not yet
-    /// returned via [`absorb`].
-    ///
-    /// [`materialize`]: FluidQueue::materialize
-    /// [`absorb`]: FluidQueue::absorb
-    #[must_use]
-    pub fn materialized_outstanding(&self) -> f64 {
-        self.materialized_out
-    }
-
     /// Estimated queueing delay by Little's law: backlog over capacity.
     #[must_use]
     pub fn wait_estimate_s(&self) -> f64 {
-        self.backlog() / self.capacity_rps
+        self.backlog / self.capacity_rps
     }
 
-    /// Advances the fluid state by `dt` with per-class arrival `rates`
+    /// Advances the fluid state by `dt` at arrival `rate`
     /// (requests/second), integrating in `substeps` fixed steps.
     ///
     /// # Panics
     ///
-    /// Panics if `rates.len() != classes()`, `substeps` is zero, or any
-    /// rate is negative/non-finite.
-    pub fn step(&mut self, dt: SimDuration, rates: &[f64], substeps: u32) -> FlowTick {
-        assert_eq!(rates.len(), self.backlog.len(), "one rate per class");
+    /// Panics if `substeps` is zero or `rate` is negative/non-finite.
+    pub fn step(&mut self, dt: SimDuration, rate: f64, substeps: u32) -> FlowTick {
         assert!(substeps > 0, "need at least one substep");
-        for &r in rates {
-            assert!(r.is_finite() && r >= 0.0, "rates must be >= 0, got {r}");
-        }
+        assert!(
+            rate.is_finite() && rate >= 0.0,
+            "rate must be >= 0, got {rate}"
+        );
         let h = dt.as_secs_f64() / f64::from(substeps);
-        let total_rate: f64 = rates.iter().sum();
         let mut served_step = 0.0;
-        let mut shed_step = 0.0;
         for _ in 0..substeps {
-            // Inflow, then proportional drain of backlog + fresh fluid.
-            let mut demand_total = 0.0;
-            for (b, &r) in self.backlog.iter_mut().zip(rates) {
-                *b += r * h;
-                demand_total += *b;
-            }
-            self.offered += total_rate * h;
-            if demand_total > 0.0 {
-                let serve = (self.capacity_rps * h).min(demand_total);
-                let keep = 1.0 - serve / demand_total;
-                for b in &mut self.backlog {
-                    *b = (*b * keep).max(0.0);
-                }
+            // Inflow, then drain of backlog + fresh fluid.
+            self.backlog += rate * h;
+            self.offered += rate * h;
+            let demand = self.backlog;
+            if demand > 0.0 {
+                let serve = (self.capacity_rps * h).min(demand);
+                let keep = 1.0 - serve / demand;
+                self.backlog = (self.backlog * keep).max(0.0);
                 served_step += serve;
                 self.served += serve;
             }
-            // Shed whatever exceeds the waiting room, class-proportional.
-            let backlog_total: f64 = self.backlog.iter().sum();
-            if backlog_total > self.backlog_limit {
-                let keep = self.backlog_limit / backlog_total;
-                let excess = backlog_total - self.backlog_limit;
-                for b in &mut self.backlog {
-                    *b = (*b * keep).max(0.0);
-                }
-                shed_step += excess;
-                self.shed += excess;
+            // Shed whatever exceeds the waiting room.
+            let backlog = self.backlog;
+            if backlog > self.backlog_limit {
+                let keep = self.backlog_limit / backlog;
+                self.backlog = (self.backlog * keep).max(0.0);
+                self.shed += backlog - self.backlog_limit;
             }
         }
         FlowTick {
             served: served_step,
-            shed: shed_step,
-            backlog: self.backlog(),
-            utilization: total_rate / self.capacity_rps,
+            backlog: self.backlog,
         }
     }
 
-    /// Converts the fluid backlog into integer in-flight requests for the
+    /// Converts the fluid backlog into whole waiting requests for the
     /// event layer — the fluid→event fidelity boundary.
     ///
-    /// Each class yields `floor(backlog)` requests plus one more with
-    /// probability equal to the fractional part, drawn from the
-    /// component's own `rng` lineage, so the result is reproducible for
-    /// a given seed. The backlog is zeroed; the emitted mass is tracked
-    /// in [`materialized_outstanding`](FluidQueue::materialized_outstanding)
-    /// until [`absorb`](FluidQueue::absorb) returns it. Emits a
-    /// `fluid.materialize` trace event at `now_ns`.
-    pub fn materialize(&mut self, rng: &mut SimRng, now_ns: u64) -> Vec<u64> {
-        let mut counts = Vec::with_capacity(self.backlog.len());
-        let mut total = 0u64;
-        for b in &mut self.backlog {
-            let whole = b.floor();
-            let frac = *b - whole;
-            let mut n = whole as u64;
-            if frac > 0.0 && rng.chance(frac) {
-                n += 1;
-            }
-            counts.push(n);
-            self.materialized_out += *b;
-            *b = 0.0;
-            total += n;
+    /// Yields `floor(backlog)` requests plus one more with probability
+    /// equal to the fractional part, drawn from the station's own `rng`
+    /// lineage, so the result is reproducible for a given seed. The
+    /// backlog is zeroed. Emits a `fluid.materialize` trace event at
+    /// `now_ns`.
+    pub fn materialize(&mut self, rng: &mut SimRng, now_ns: u64) -> u64 {
+        let whole = self.backlog.floor();
+        let frac = self.backlog - whole;
+        let mut n = whole as u64;
+        if frac > 0.0 && rng.chance(frac) {
+            n += 1;
         }
+        self.backlog = 0.0;
         if elc_trace::enabled(crate::TRACE_TARGET, Level::Info) {
             elc_trace::instant(
                 now_ns,
                 crate::TRACE_TARGET,
                 "fluid.materialize",
                 Level::Info,
-                &[
-                    Field::u64("requests", total),
-                    Field::u64("classes", self.backlog.len() as u64),
-                ],
+                &[Field::u64("requests", n)],
             );
         }
-        counts
+        n
     }
 
-    /// Returns request mass from the event layer to the fluid backlog —
-    /// the event→fluid fidelity boundary (e.g. the event station's
-    /// still-waiting requests when a component goes back to steady
-    /// state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts.len() != classes()`.
-    pub fn absorb(&mut self, counts: &[u64]) {
-        assert_eq!(counts.len(), self.backlog.len(), "one count per class");
-        for (b, &n) in self.backlog.iter_mut().zip(counts) {
-            *b += n as f64;
-        }
-        // The event layer accounts for what it served/shed out of the
-        // materialized mass; whatever comes back is no longer outstanding.
-        let returned: f64 = counts.iter().map(|&n| n as f64).sum();
-        self.materialized_out = (self.materialized_out - returned).max(0.0);
-    }
-
-    /// Settles the outstanding materialized mass as handled by the event
-    /// layer: `served`/`shed` requests are folded into this queue's
-    /// cumulative totals so the mass balance closes after a fidelity
-    /// round-trip.
-    pub fn settle_materialized(&mut self, served: u64, shed: u64) {
-        let handled = served as f64 + shed as f64;
-        self.served += served as f64;
-        self.shed += shed as f64;
-        self.materialized_out = (self.materialized_out - handled).max(0.0);
+    /// Returns `requests` from the event layer to the fluid backlog —
+    /// the event→fluid fidelity boundary (the event station's waiting
+    /// and in-service requests when it goes back to steady state).
+    pub fn absorb(&mut self, requests: u64) {
+        self.backlog += requests as f64;
     }
 }
 
@@ -290,21 +184,20 @@ mod tests {
 
     #[test]
     fn underload_serves_everything() {
-        let mut q = FluidQueue::new(2, 100.0, 1_000.0);
-        let tick = q.step(secs(60), &[30.0, 20.0], 4);
+        let mut q = FluidQueue::new(100.0, 1_000.0);
+        let tick = q.step(secs(60), 50.0, 4);
         assert!((tick.served - 3_000.0).abs() < 1e-6);
         assert!(tick.backlog < 1e-9);
-        assert_eq!(tick.shed, 0.0);
-        assert!((tick.utilization - 0.5).abs() < 1e-12);
+        assert_eq!(q.shed_total(), 0.0);
     }
 
     #[test]
     fn overload_builds_backlog_then_sheds_at_the_limit() {
-        let mut q = FluidQueue::new(1, 100.0, 500.0);
+        let mut q = FluidQueue::new(100.0, 500.0);
         // 150 rps into 100 rps: 50 rps of excess.
-        let t1 = q.step(secs(60), &[150.0], 60);
+        let t1 = q.step(secs(60), 150.0, 60);
         assert!((t1.backlog - 500.0).abs() < 1e-6, "backlog {}", t1.backlog);
-        assert!(t1.shed > 0.0);
+        assert!(q.shed_total() > 0.0);
         // Mass conservation.
         let q_total = q.served_total() + q.shed_total() + q.backlog();
         assert!((q.offered_total() - q_total).abs() < 1e-6);
@@ -312,72 +205,38 @@ mod tests {
 
     #[test]
     fn drain_after_surge_is_capacity_limited() {
-        let mut q = FluidQueue::new(1, 100.0, 10_000.0);
-        q.step(secs(60), &[200.0], 10);
+        let mut q = FluidQueue::new(100.0, 10_000.0);
+        q.step(secs(60), 200.0, 10);
         let backlog_before = q.backlog();
-        let t = q.step(secs(10), &[0.0], 10);
+        let t = q.step(secs(10), 0.0, 10);
         assert!((backlog_before - t.backlog - 1_000.0).abs() < 1e-6);
     }
 
     #[test]
     fn materialize_rounds_and_zeroes() {
-        let mut q = FluidQueue::new(2, 10.0, 1e9);
-        q.step(secs(100), &[20.0, 5.0], 10); // builds fractional backlog
+        // Overload fills the waiting room to a fractional backlog.
+        let mut q = FluidQueue::new(10.0, 100.5);
+        q.step(secs(100), 25.0, 10);
         let before = q.backlog();
+        assert_eq!(before, 100.5);
         let mut rng = SimRng::seed(7);
-        let counts = q.materialize(&mut rng, 0);
-        assert_eq!(counts.len(), 2);
+        let n = q.materialize(&mut rng, 0);
         assert_eq!(q.backlog(), 0.0);
-        let total: u64 = counts.iter().sum();
         assert!(
-            (total as f64 - before).abs() < 2.0,
-            "rounding stays within one request per class"
+            (n as f64 - before).abs() < 1.0,
+            "rounding stays within one request"
         );
-        assert!((q.materialized_outstanding() - before).abs() < 1e-9);
         // Deterministic for a given lineage.
-        let mut q2 = FluidQueue::new(2, 10.0, 1e9);
-        q2.step(secs(100), &[20.0, 5.0], 10);
+        let mut q2 = FluidQueue::new(10.0, 100.5);
+        q2.step(secs(100), 25.0, 10);
         let mut rng2 = SimRng::seed(7);
-        assert_eq!(q2.materialize(&mut rng2, 0), counts);
+        assert_eq!(q2.materialize(&mut rng2, 0), n);
     }
 
     #[test]
-    fn absorb_and_settle_close_the_mass_balance() {
-        let mut q = FluidQueue::new(1, 10.0, 1e9);
-        q.step(secs(100), &[25.0], 10);
-        let mut rng = SimRng::seed(3);
-        let counts = q.materialize(&mut rng, 0);
-        let n = counts[0];
-        // Event layer serves 60% of them, sheds 10%, returns the rest.
-        let served = n * 6 / 10;
-        let shed = n / 10;
-        let back = n - served - shed;
-        q.settle_materialized(served, shed);
-        q.absorb(&[back]);
-        let balance =
-            q.served_total() + q.shed_total() + q.backlog() + q.materialized_outstanding();
-        assert!(
-            (q.offered_total() - balance).abs() < 2.0,
-            "offered {} vs balance {balance}",
-            q.offered_total()
-        );
-        assert!(q.backlog() >= 0.0);
-    }
-
-    #[test]
-    fn capacity_rescale_changes_drain_rate() {
-        let mut q = FluidQueue::new(1, 50.0, 1e9);
-        q.step(secs(60), &[100.0], 10);
-        q.set_capacity(200.0);
-        let t = q.step(secs(60), &[100.0], 10);
-        assert!(t.backlog < 1e-6, "bigger pool drains the surge backlog");
-        assert!((q.capacity_rps() - 200.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "one rate per class")]
-    fn step_rejects_rate_shape_mismatch() {
-        let mut q = FluidQueue::new(2, 10.0, 100.0);
-        let _ = q.step(secs(1), &[1.0], 1);
+    #[should_panic(expected = "rate must be >= 0")]
+    fn step_rejects_a_negative_rate() {
+        let mut q = FluidQueue::new(10.0, 100.0);
+        let _ = q.step(secs(1), -1.0, 1);
     }
 }

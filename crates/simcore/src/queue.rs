@@ -216,17 +216,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// True if the event behind `id` is still pending — not yet fired and
-    /// not cancelled. A stale id (the slot was reused by a newer event)
-    /// reports `false`, same as [`EventQueue::cancel`] on it would.
-    #[must_use]
-    pub fn contains(&self, id: EventId) -> bool {
-        matches!(
-            self.slots.get(id.slot as usize),
-            Some(s) if s.generation == id.generation && s.payload.is_some()
-        )
-    }
-
     /// Removes and returns the earliest pending event.
     ///
     /// Ties fire in scheduling (FIFO) order.
@@ -422,22 +411,6 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn contains_reflects_pending_fired_and_reused_slots() {
-        let mut q = EventQueue::new();
-        let id = q.push(SimTime::from_secs(1), "first");
-        assert!(q.contains(id));
-        let _ = q.pop();
-        assert!(!q.contains(id), "fired event is gone");
-        // The slot is reused with a bumped generation: the old id must
-        // not match the new occupant.
-        let id2 = q.push(SimTime::from_secs(2), "second");
-        assert!(!q.contains(id));
-        assert!(q.contains(id2));
-        assert!(q.cancel(id2));
-        assert!(!q.contains(id2));
     }
 
     #[test]

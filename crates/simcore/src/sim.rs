@@ -253,12 +253,6 @@ impl<S> Simulation<S> {
         self.schedule_in(start, move |sim| tick(sim, f, interval))
     }
 
-    /// True if the event behind `id` has neither fired nor been cancelled.
-    #[must_use]
-    pub fn is_pending(&self, id: EventId) -> bool {
-        self.queue.contains(id)
-    }
-
     /// Cancels a pending event. Returns `true` if it had not yet fired.
     pub fn cancel(&mut self, id: EventId) -> bool {
         let hit = self.queue.cancel(id);
@@ -529,19 +523,6 @@ mod tests {
         assert!(sim.cancel(id));
         sim.run();
         assert_eq!(*sim.state(), 10);
-    }
-
-    #[test]
-    fn is_pending_tracks_fire_and_cancel() {
-        let mut sim = Simulation::new(1, 0u32);
-        let id = sim.schedule_in(SimDuration::from_secs(1), |s| *s.state_mut() += 1);
-        assert!(sim.is_pending(id));
-        sim.run();
-        assert!(!sim.is_pending(id), "fired events are no longer pending");
-        let id2 = sim.schedule_in(SimDuration::from_secs(1), |_| {});
-        assert!(sim.cancel(id2));
-        assert!(!sim.is_pending(id2));
-        assert!(!sim.is_pending(id), "stale id stays stale after slot reuse");
     }
 
     #[test]

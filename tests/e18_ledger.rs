@@ -101,3 +101,25 @@ fn e18_auto_at_twice_the_rate_curve_is_pinned() {
         (station.servers + station.queue_limit) as f64,
     );
 }
+
+#[test]
+fn e18_university_at_fluid_fidelity_is_pinned() {
+    // Region 0 of E18's university evening, seed 42: the station is
+    // sized for 60% of the peak, so the flow never builds a backlog.
+    let out = e18::run(&Scenario::university(42).with_fidelity(Fidelity::Fluid));
+    let pinned = EngineReport {
+        fidelity: Fidelity::Fluid,
+        offered: 48240000.0,
+        served: 48240000.0,
+        shed: 0.0,
+        p95_latency_s: 0.05,
+        mean_utilization: 0.5145929339477762,
+        peak_backlog: 0.0,
+        events_executed: 0,
+        fluid_ticks: 360,
+        event_ticks: 0,
+        switches: 0,
+        materialized: 0,
+    };
+    assert_eq!(out.rows[0].report, pinned);
+}
